@@ -5,7 +5,8 @@ e-th powering whenever gcd(e, lambda(n)) = 1: splitting x by CRT, each
 component is either zero or a unit, and x returns to itself after k
 steps iff e**k = 1 modulo the lcm L of the nonzero component orders.
 Every count in this module falls out of Mobius inversion over a divisor
-lattice built on that observation.
+lattice built on that observation; the full census is one such transform
+over the d(K) divisors of K = k_max, costing O(d(K) * omega(K)).
 
 Two counting-formula corrections are baked in (see the docstrings of
 ``roots_of_unity_count`` and ``exact_quasi_order_count``): the unit
@@ -16,6 +17,7 @@ regression-tested against brute force.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import gcd, lcm
 
@@ -96,9 +98,30 @@ def make_instance(p: int, q: int, e: int) -> RsaInstance:
 
 def _gcd_pow_minus_one(e: int, k: int, m: int) -> int:
     # gcd(e**k - 1, m) without forming e**k: gcd(x, m) = gcd(x mod m, m).
-    if m == 1:
-        return 1
     return gcd((pow(e, k, m) - 1) % m, m)
+
+
+def _invert(f: Factorization, cumulative: Callable[[int], int]) -> dict[int, int]:
+    # From cumulative(d) = sum of exact(c) over c | d, {d: exact(d)} for each
+    # d | f.value, ascending: one differencing pass per prime, walking d down
+    # so that h[d // r] is read before this pass changes it.
+    divs = arith.divisors(f)
+    h = {d: cumulative(d) for d in divs}
+    for r, _ in f.factors:
+        for d in reversed(divs):
+            if d % r == 0:
+                h[d] -= h[d // r]
+    return h
+
+
+def _period_counts(inst: RsaInstance, f: Factorization) -> tuple[dict[int, int], dict[int, int]]:
+    # T_d and E_d at every d | f.value: invert g_p g_q and (g_p + 1)(g_q + 1).
+    e, p1, q1 = inst.e, inst.p - 1, inst.q - 1
+    g = {d: (_gcd_pow_minus_one(e, d, p1), _gcd_pow_minus_one(e, d, q1)) for d in arith.divisors(f)}
+    return (
+        _invert(f, lambda d: g[d][0] * g[d][1]),
+        _invert(f, lambda d: (g[d][0] + 1) * (g[d][1] + 1)),
+    )
 
 
 def _unit_root_count_prime_power(r: int, p: int, a: int) -> int:
@@ -139,10 +162,7 @@ def cumulative_unit_fixed_count(inst: RsaInstance, k: int) -> int:
 
 def exact_order_unit_count(inst: RsaInstance, k: int) -> int:
     """Units of exact period k under x -> x**e; 0 when k does not divide k_max."""
-    total = 0
-    for d in arith.divisors(arith.factorize(k)):
-        total += arith.mobius(k // d) * cumulative_unit_fixed_count(inst, d)
-    return total
+    return _period_counts(inst, arith.factorize(k))[0][k]
 
 
 def exact_order_all_count(inst: RsaInstance, k: int) -> int:
@@ -152,29 +172,17 @@ def exact_order_all_count(inst: RsaInstance, k: int) -> int:
     per prime the solutions of x**(e**d) = x are the units of order
     dividing e**d - 1 plus the single zero residue.
     """
-    e = inst.e
-    total = 0
-    for d in arith.divisors(arith.factorize(k)):
-        a = _gcd_pow_minus_one(e, d, inst.p - 1) + 1
-        b = _gcd_pow_minus_one(e, d, inst.q - 1) + 1
-        total += arith.mobius(k // d) * a * b
-    return total
+    return _period_counts(inst, arith.factorize(k))[1][k]
 
 
 def per_prime_exact_order_count(prime: int, e: int, k: int) -> int:
     """Units mod an odd prime with exact period k under x -> x**e."""
-    total = 0
-    for d in arith.divisors(arith.factorize(k)):
-        total += arith.mobius(k // d) * _gcd_pow_minus_one(e, d, prime - 1)
-    return total
+    return _invert(arith.factorize(k), lambda d: _gcd_pow_minus_one(e, d, prime - 1))[k]
 
 
 def elements_of_order_count(f: Factorization, r: int) -> int:
     """|{x in Z_n*: ord_n(x) = r}| via inversion of the root counts."""
-    total = 0
-    for d in arith.divisors(arith.factorize(r)):
-        total += arith.mobius(r // d) * roots_of_unity_count(d, f)
-    return total
+    return _invert(arith.factorize(r), lambda d: roots_of_unity_count(d, f))[r]
 
 
 def poly_fixed_count(d: int, f: Factorization) -> int:
@@ -207,10 +215,7 @@ def exact_quasi_order_count(f: Factorization, r: int) -> int:
     """
     if r < 2:
         raise ValueError(f"r must be >= 2, got {r}")
-    total = 0
-    for L in arith.divisors(arith.factorize(r - 1)):
-        total += arith.mobius((r - 1) // L) * poly_fixed_count(L + 1, f)
-    return total
+    return _invert(arith.factorize(r - 1), lambda L: poly_fixed_count(L + 1, f))[r - 1]
 
 
 def max_period(inst: RsaInstance) -> int:
@@ -223,9 +228,4 @@ def max_period(inst: RsaInstance) -> int:
 def full_census(inst: RsaInstance) -> ExactOrderCensus:
     """Evaluate the exact-period counts at every divisor of k_max."""
     k_max = max_period(inst)
-    ks = arith.divisors(arith.factorize(k_max))
-    return ExactOrderCensus(
-        k_max=k_max,
-        unit_counts={k: exact_order_unit_count(inst, k) for k in ks},
-        all_counts={k: exact_order_all_count(inst, k) for k in ks},
-    )
+    return ExactOrderCensus(k_max, *_period_counts(inst, arith.factorize(k_max)))

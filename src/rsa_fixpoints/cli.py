@@ -37,14 +37,16 @@ def _int_arg(s: str) -> int:
     return value
 
 
+def _bound_arg(s: str) -> int:
+    """Period bound: an integer >= 1, decimal or 0x-prefixed hex."""
+    value = _int_arg(s)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"bound must be an integer >= 1: {s!r}")
+    return value
+
+
 def _bounds_arg(s: str) -> tuple[int, ...]:
-    try:
-        bounds = tuple(int(part) for part in s.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers: {s!r}")
-    if not bounds or any(b < 1 for b in bounds):
-        raise argparse.ArgumentTypeError("bounds must be integers >= 1")
-    return bounds
+    return tuple(_bound_arg(part) for part in s.split(","))
 
 
 def _fraction_arg(s: str) -> Fraction:
@@ -139,7 +141,7 @@ def cmd_enumerate(args) -> int:
         return EXIT_OK
     payload = {
         "instance": reports.instance_to_json_dict(inst),
-        "k": args.k,
+        "k": reports.encode_int(args.k),
         "count": len(points),
         "fixed_points": [reports.encode_int(m) for m in points],
     }
@@ -206,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_audit.add_argument(
         "--warn-bound",
-        type=_int_arg,
+        type=_bound_arg,
         default=reports.DEFAULT_WARN_BOUND,
         help="period bound whose weak fraction triggers WARN (default 2)",
     )

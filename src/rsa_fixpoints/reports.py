@@ -109,11 +109,8 @@ def encode_int(v: int):
     return v if -JSON_SAFE_INT <= v <= JSON_SAFE_INT else str(v)
 
 
-_enc_int = encode_int
-
-
 def _enc_fraction(fr: Fraction) -> dict:
-    return {"num": _enc_int(fr.numerator), "den": _enc_int(fr.denominator)}
+    return {"num": encode_int(fr.numerator), "den": encode_int(fr.denominator)}
 
 
 def render_json(payload: dict) -> str:
@@ -122,9 +119,9 @@ def render_json(payload: dict) -> str:
 
 def census_to_json_dict(cen: ExactOrderCensus) -> dict:
     return {
-        "k_max": _enc_int(cen.k_max),
-        "unit_counts": {str(k): _enc_int(v) for k, v in sorted(cen.unit_counts.items())},
-        "all_counts": {str(k): _enc_int(v) for k, v in sorted(cen.all_counts.items())},
+        "k_max": encode_int(cen.k_max),
+        "unit_counts": {str(k): encode_int(v) for k, v in sorted(cen.unit_counts.items())},
+        "all_counts": {str(k): encode_int(v) for k, v in sorted(cen.all_counts.items())},
     }
 
 
@@ -138,12 +135,12 @@ def census_from_json_dict(d: dict) -> ExactOrderCensus:
 
 def instance_to_json_dict(inst: RsaInstance) -> dict:
     return {
-        "p": _enc_int(inst.p),
-        "q": _enc_int(inst.q),
-        "n": _enc_int(inst.n),
-        "e": _enc_int(inst.e),
-        "phi": _enc_int(inst.phi),
-        "lambda": _enc_int(inst.lam),
+        "p": encode_int(inst.p),
+        "q": encode_int(inst.q),
+        "n": encode_int(inst.n),
+        "e": encode_int(inst.e),
+        "phi": encode_int(inst.phi),
+        "lambda": encode_int(inst.lam),
         "gcd_e_phi_ok": inst.gcd_e_phi_ok,
     }
 
@@ -151,12 +148,12 @@ def instance_to_json_dict(inst: RsaInstance) -> dict:
 def audit_to_json_dict(report: AuditReport) -> dict:
     return {
         "instance": instance_to_json_dict(report.instance),
-        "k_max": _enc_int(report.k_max),
+        "k_max": encode_int(report.k_max),
         "census": census_to_json_dict(report.census),
         "weak_fraction": {
             str(b): _enc_fraction(fr) for b, fr in sorted(report.weak_fraction.items())
         },
-        "min_fixed_points": _enc_int(report.min_fixed_points),
+        "min_fixed_points": encode_int(report.min_fixed_points),
         "verdict": report.verdict,
         "notes": list(report.notes),
     }
@@ -196,9 +193,9 @@ def render_census(cen: ExactOrderCensus, fmt: str) -> str:
 
 def cycles_to_json_dict(cs: CycleStructure) -> dict:
     return {
-        "n": _enc_int(cs.n),
+        "n": encode_int(cs.n),
         "entries": {
-            str(k): {"points": _enc_int(pts), "cycles": _enc_int(cyc)}
+            str(k): {"points": encode_int(pts), "cycles": encode_int(cyc)}
             for k, (pts, cyc) in sorted(cs.entries.items())
         },
     }

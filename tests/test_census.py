@@ -1,3 +1,4 @@
+import random
 from math import gcd, lcm, prod
 
 import pytest
@@ -295,3 +296,77 @@ def test_census_matches_walk_periods_quick():
             assert cen.all_counts[k] == tally_all.get(k, 0), (inst, k)
             assert cen.unit_counts[k] == tally_units.get(k, 0), (inst, k)
         assert set(tally_all) <= set(cen.all_counts)
+
+
+def _smooth_prime(rng, bits, small=(3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)):
+    # p = m + 1 with m = 2 * (small primes) of the given bit length, so
+    # that lambda(lambda(n)) and hence d(K) run into the hundreds.
+    while True:
+        m = 2
+        while m.bit_length() < bits:
+            m *= rng.choice(small)
+        if m.bit_length() == bits and arith.is_prime(m + 1):
+            return m + 1
+
+
+def _random_instances(seed, count):
+    rng = random.Random(seed)
+    while count:
+        bits = rng.choice((24, 32))
+        p, q = _smooth_prime(rng, bits), _smooth_prime(rng, bits)
+        lam = lcm(p - 1, q - 1)
+        e = rng.choice((3, 65537, rng.randrange(3, lam, 2)))
+        if p != q and gcd(e, lam) == 1:
+            count -= 1
+            yield make_instance(p, q, e)
+
+
+def _literal_inversion(cumulative, k):
+    # The per-k Mobius sum, written out as the reference.
+    return sum(arith.mobius(k // d) * cumulative(d) for d in divisors(factorize(k)))
+
+
+def test_full_census_matches_literal_mobius_sums():
+    largest = 0
+    for inst in _random_instances(seed=7, count=12):
+        cen = full_census(inst)
+        largest = max(largest, len(cen.all_counts))
+        e, p1, q1 = inst.e, inst.p - 1, inst.q - 1
+
+        def g(d):
+            return gcd(pow(e, d, p1) - 1, p1), gcd(pow(e, d, q1) - 1, q1)
+
+        for k in cen.all_counts:
+            t_k = _literal_inversion(lambda d: g(d)[0] * g(d)[1], k)
+            e_k = _literal_inversion(lambda d: (g(d)[0] + 1) * (g(d)[1] + 1), k)
+            assert (cen.unit_counts[k], cen.all_counts[k]) == (t_k, e_k), (inst, k)
+            assert (exact_order_unit_count(inst, k), exact_order_all_count(inst, k)) == (t_k, e_k)
+        assert sum(cen.unit_counts.values()) == inst.phi
+        assert sum(cen.all_counts.values()) == inst.n
+    assert largest >= 300  # the sample reaches d(K) in the hundreds
+
+
+@pytest.mark.parametrize("k", [1, 2**6, 3**4, 360, 2**3 * 3**2 * 5**2 * 7])
+def test_invert_helper_cases(k):
+    # k = 1, prime powers, and k with repeated primes: sum of phi(c) over
+    # c | d is d, so inverting d -> d gives phi, and constants invert to
+    # the indicator of d = 1.
+    f = factorize(k)
+    assert census._invert(f, lambda d: d) == {d: euler_phi(factorize(d)) for d in divisors(f)}
+    assert census._invert(f, lambda d: 5) == {d: 5 if d == 1 else 0 for d in divisors(f)}
+    squares = census._invert(f, lambda c: c * c)
+    assert squares == {d: _literal_inversion(lambda c: c * c, d) for d in divisors(f)}
+
+
+def test_full_census_64_bit_instance():
+    # p - 1 and q - 1 are smooth, so K has 11,520 divisors and one Mobius
+    # sum per k would take 2 * 3,936,600 terms; the lattice transform
+    # needs 11,520 evaluations and a pass per prime of K.
+    inst = make_instance(12792783115444427129, 13143893440431103967, 3)
+    assert inst.p.bit_length() == inst.q.bit_length() == 64
+    cen = full_census(inst)
+    assert len(cen.all_counts) >= 10_000
+    assert sum(cen.all_counts.values()) == inst.n
+    assert sum(cen.unit_counts.values()) == inst.phi
+    for k in cen.all_counts:
+        assert cen.all_counts[k] % k == 0 and cen.unit_counts[k] % k == 0

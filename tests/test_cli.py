@@ -123,6 +123,23 @@ def test_enumerate_lines_output():
     assert {0, 1, 6, 15, 34} <= set(values)
 
 
+def test_enumerate_json_writes_large_k_as_string():
+    k = 2**54
+    result = run_cli("enumerate", "--p", "5", "--q", "7", "--e", "5", "--k", str(k))
+    assert result.returncode == 0
+    payload = json.loads(result.stdout)
+    assert payload["k"] == str(k)
+    assert payload["count"] == 0 and payload["fixed_points"] == []
+
+
+def test_audit_rejects_bounds_below_one():
+    for flag, value in (("--warn-bound", "0"), ("--weak-bounds", "1,0")):
+        result = run_cli("audit", "--p", "5", "--q", "7", "--e", "5", flag, value)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "error:" in result.stderr and flag in result.stderr
+
+
 def test_factor_demo_reports_true_factor():
     result = run_cli("factor-demo", "--p", "11", "--q", "71", "--e", "17")
     payload = json.loads(result.stdout)
