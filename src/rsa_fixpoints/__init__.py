@@ -15,7 +15,6 @@ from .arith import (
     is_prime,
     lcm,
     mobius,
-    mod_pow,
     multiplicative_order,
 )
 from .census import (

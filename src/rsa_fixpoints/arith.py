@@ -18,7 +18,6 @@ __all__ = [
     "Factorization",
     "gcd",
     "lcm",
-    "mod_pow",
     "is_prime",
     "factorize",
     "divisors",
@@ -46,18 +45,6 @@ class Factorization:
 
     factors: tuple[tuple[int, int], ...]
     value: int
-
-    def __iter__(self):
-        return iter(self.factors)
-
-
-def mod_pow(base: int, exp: int, modulus: int) -> int:
-    """base**exp mod modulus by square-and-multiply."""
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    if exp < 0:
-        raise ValueError(f"exponent must be >= 0, got {exp}")
-    return pow(base, exp, modulus)
 
 
 @lru_cache(maxsize=1)

@@ -101,17 +101,22 @@ def _gcd_pow_minus_one(e: int, k: int, m: int) -> int:
     return gcd((pow(e, k, m) - 1) % m, m)
 
 
-def _invert(f: Factorization, cumulative: Callable[[int], int]) -> dict[int, int]:
-    # From cumulative(d) = sum of exact(c) over c | d, {d: exact(d)} for each
-    # d | f.value, ascending: one differencing pass per prime, walking d down
-    # so that h[d // r] is read before this pass changes it.
-    divs = arith.divisors(f)
-    h = {d: cumulative(d) for d in divs}
+def _invert(f: Factorization, cumulative: dict[int, int]) -> dict[int, int]:
+    # From cumulative[d] = sum of exact(c) over c | d, keyed by each d | f.value
+    # ascending, {d: exact(d)} in the same order: one differencing pass per
+    # prime, walking d down so that h[d // r] is read before this pass changes it.
+    h = dict(cumulative)
     for r, _ in f.factors:
-        for d in reversed(divs):
+        for d in reversed(h):
             if d % r == 0:
                 h[d] -= h[d // r]
     return h
+
+
+def _invert_at(k: int, cumulative: Callable[[int], int]) -> int:
+    # exact(k) from the cumulative function, evaluated at each d | k.
+    f = arith.factorize(k)
+    return _invert(f, {d: cumulative(d) for d in arith.divisors(f)})[k]
 
 
 def _period_counts(inst: RsaInstance, f: Factorization) -> tuple[dict[int, int], dict[int, int]]:
@@ -119,8 +124,8 @@ def _period_counts(inst: RsaInstance, f: Factorization) -> tuple[dict[int, int],
     e, p1, q1 = inst.e, inst.p - 1, inst.q - 1
     g = {d: (_gcd_pow_minus_one(e, d, p1), _gcd_pow_minus_one(e, d, q1)) for d in arith.divisors(f)}
     return (
-        _invert(f, lambda d: g[d][0] * g[d][1]),
-        _invert(f, lambda d: (g[d][0] + 1) * (g[d][1] + 1)),
+        _invert(f, {d: gp * gq for d, (gp, gq) in g.items()}),
+        _invert(f, {d: (gp + 1) * (gq + 1) for d, (gp, gq) in g.items()}),
     )
 
 
@@ -177,12 +182,12 @@ def exact_order_all_count(inst: RsaInstance, k: int) -> int:
 
 def per_prime_exact_order_count(prime: int, e: int, k: int) -> int:
     """Units mod an odd prime with exact period k under x -> x**e."""
-    return _invert(arith.factorize(k), lambda d: _gcd_pow_minus_one(e, d, prime - 1))[k]
+    return _invert_at(k, lambda d: _gcd_pow_minus_one(e, d, prime - 1))
 
 
 def elements_of_order_count(f: Factorization, r: int) -> int:
     """|{x in Z_n*: ord_n(x) = r}| via inversion of the root counts."""
-    return _invert(arith.factorize(r), lambda d: roots_of_unity_count(d, f))[r]
+    return _invert_at(r, lambda d: roots_of_unity_count(d, f))
 
 
 def poly_fixed_count(d: int, f: Factorization) -> int:
@@ -215,7 +220,7 @@ def exact_quasi_order_count(f: Factorization, r: int) -> int:
     """
     if r < 2:
         raise ValueError(f"r must be >= 2, got {r}")
-    return _invert(arith.factorize(r - 1), lambda L: poly_fixed_count(L + 1, f))[r - 1]
+    return _invert_at(r - 1, lambda L: poly_fixed_count(L + 1, f))
 
 
 def max_period(inst: RsaInstance) -> int:

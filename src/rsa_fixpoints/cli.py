@@ -159,20 +159,8 @@ def cmd_oracle(args, parser) -> int:
 
 def cmd_factor_demo(args) -> int:
     inst = census.make_instance(args.p, args.q, args.e)
-    chosen = None
-    try:
-        for m in dynamics.enumerate_fixed_points(inst, 1, cap=args.cap):
-            factor = dynamics.extract_factor_from_fixed_point(m, inst.n)
-            if factor is not None:
-                chosen = (m, factor)
-                break
-    except CapExceededError:
-        pass
-    if chosen is None:
-        # (0 mod p, 1 mod q) always extracts via gcd(m, n).
-        m = arith.crt_combine([(0, inst.p), (1, inst.q)])
-        chosen = (m, dynamics.extract_factor_from_fixed_point(m, inst.n))
-    m, factor = chosen
+    m = dynamics.find_nontrivial_fixed_point(inst, budget=args.cap)
+    factor = dynamics.extract_factor_from_fixed_point(m, inst.n)
     payload = {
         "instance": reports.instance_to_json_dict(inst),
         "fixed_point": reports.encode_int(m),
@@ -195,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_census = sub.add_parser("census", help="closed-form per-period counts")
     _add_instance_flags(p_census)
     p_census.add_argument("--format", choices=("json", "csv", "table"), default="json")
-    p_census.set_defaults(handler=lambda a: cmd_census(a))
+    p_census.set_defaults(handler=cmd_census)
 
     p_audit = sub.add_parser("audit", help="exponent-safety audit report")
     _add_instance_flags(p_audit, with_n=True)
@@ -229,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cycles = sub.add_parser("cycles", help="analytic cycle structure")
     _add_instance_flags(p_cycles)
     p_cycles.add_argument("--format", choices=("json", "csv", "table"), default="json")
-    p_cycles.set_defaults(handler=lambda a: cmd_cycles(a))
+    p_cycles.set_defaults(handler=cmd_cycles)
 
     p_enum = sub.add_parser("enumerate", help="list all points of exact period k")
     _add_instance_flags(p_enum)
@@ -241,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="refuse to enumerate more than this many points",
     )
     p_enum.add_argument("--format", choices=("json", "lines"), default="json")
-    p_enum.set_defaults(handler=lambda a: cmd_enumerate(a))
+    p_enum.set_defaults(handler=cmd_enumerate)
 
     p_oracle = sub.add_parser("oracle", help="brute-force census for cross-checking")
     _add_instance_flags(p_oracle, with_n=True)
@@ -259,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_instance_flags(p_demo)
     p_demo.add_argument("--cap", type=_int_arg, default=dynamics.DEFAULT_ENUMERATION_CAP)
-    p_demo.set_defaults(handler=lambda a: cmd_factor_demo(a))
+    p_demo.set_defaults(handler=cmd_factor_demo)
 
     return parser
 

@@ -105,7 +105,7 @@ def _solution_classes(prime: int, e: int, k: int) -> list[tuple[int | None, list
     # Residues mod prime with x**(e**k) = x, grouped by multiplicative
     # order: the zero class plus, for each u | gcd(e**k - 1, prime - 1),
     # the phi(u) units of exact order u (powers of a primitive root).
-    m = gcd((pow(e, k, prime - 1) - 1) % (prime - 1), prime - 1)
+    m = census._gcd_pow_minus_one(e, k, prime - 1)
     root_of_order_m = pow(_primitive_root(prime), (prime - 1) // m, prime)
     classes: list[tuple[int | None, list[int]]] = [(None, [0])]
     for u in arith.divisors(arith.factorize(m)):
@@ -166,29 +166,18 @@ def extract_factor_from_fixed_point(m: int, n: int) -> int | None:
     return None
 
 
-def find_nontrivial_fixed_point(inst: RsaInstance, budget: int = DEFAULT_ENUMERATION_CAP) -> int | None:
-    """A fixed point outside {0, 1, n-1}, or None if only those exist.
+def find_nontrivial_fixed_point(inst: RsaInstance, budget: int = DEFAULT_ENUMERATION_CAP) -> int:
+    """A fixed point whose gcd extraction splits n, witnessing the factoring link.
 
-    Returns the smallest nontrivial fixed point whose gcd extraction
-    splits n (one always exists for valid instances: 0 mod p, 1 mod q is
-    among the fixed points), so the result witnesses the factoring link.
-    Requires the factorization (carried by inst); this makes no attempt
-    to find fixed points from (n, e) alone.
+    Returns the smallest fixed point from which
+    ``extract_factor_from_fixed_point`` recovers p or q, or, when E_1
+    exceeds ``budget``, the fixed point (0 mod p, 1 mod q), for which
+    gcd(m, n) = p.  Requires the factorization (carried by inst); this
+    makes no attempt to find fixed points from (n, e) alone.
     """
-    trivial = {0, 1, inst.n - 1}
-    if census.exact_order_all_count(inst, 1) <= len(trivial):
-        return None
     try:
-        first_nontrivial = None
-        for m in enumerate_fixed_points(inst, 1, cap=budget):
-            if m in trivial:
-                continue
-            if extract_factor_from_fixed_point(m, inst.n) is not None:
-                return m
-            if first_nontrivial is None:
-                first_nontrivial = m
-        return first_nontrivial
+        points = enumerate_fixed_points(inst, 1, cap=budget)
     except CapExceededError:
-        # Too many to list: (0 mod p, 1 mod q) is always a fixed point
-        # and never 0, 1, or n - 1.
         return arith.crt_combine([(0, inst.p), (1, inst.q)])
+    # (0 mod p, 1 mod q) is among the points, so one always splits n.
+    return next(m for m in points if extract_factor_from_fixed_point(m, inst.n) is not None)

@@ -69,10 +69,14 @@ def build_audit_report(
     WARN fires when the weak fraction at ``warn_bound`` exceeds
     ``warn_fraction`` or k_max falls below ``min_k_max``; DEGENERATE
     when e = 1 mod lambda(n) (identity permutation) and overrides WARN.
+    Raises ValueError when ``warn_bound`` or any of ``weak_bounds`` is below 1.
     """
+    for b in (*weak_bounds, warn_bound):
+        if b < 1:
+            raise ValueError(f"period bound must be >= 1, got {b}")
     cen = census_mod.full_census(inst)
     k_max = cen.k_max
-    bounds = sorted({b for b in weak_bounds if b >= 1} | {warn_bound, k_max})
+    bounds = sorted({*weak_bounds, warn_bound, k_max})
     weak = {
         b: Fraction(sum(e_k for k, e_k in cen.all_counts.items() if k <= b), inst.n)
         for b in bounds
@@ -159,36 +163,27 @@ def audit_to_json_dict(report: AuditReport) -> dict:
     }
 
 
-def census_to_csv(cen: ExactOrderCensus) -> str:
-    lines = ["k,T_k,E_k"]
-    for k in sorted(cen.all_counts):
-        lines.append(f"{k},{cen.unit_counts.get(k, 0)},{cen.all_counts[k]}")
-    return "\n".join(lines) + "\n"
+def _render_rows(fmt: str, title: str, header: tuple[str, ...], rows: list[tuple[int, ...]]) -> str:
+    # CSV, or a table with columns padded to their widest cell under a title line.
+    cells = [header, *(tuple(map(str, r)) for r in rows)]
+    if fmt == "csv":
+        return "".join(",".join(r) + "\n" for r in cells)
+    if fmt == "table":
+        widths = [max(map(len, column)) for column in zip(*cells)]
+        lines = ["  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in cells]
+        return "".join(line + "\n" for line in [title, *lines])
+    raise ValueError(f"unknown format {fmt!r}")
 
 
-def _table(rows: list[tuple[str, ...]]) -> str:
-    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-    out = []
-    for r in rows:
-        out.append("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
-    return "\n".join(out) + "\n"
-
-
-def census_to_table(cen: ExactOrderCensus) -> str:
-    rows = [("k", "T_k", "E_k")]
-    for k in sorted(cen.all_counts):
-        rows.append((str(k), str(cen.unit_counts.get(k, 0)), str(cen.all_counts[k])))
-    return f"k_max = {cen.k_max}\n" + _table(rows)
+def _render_census_rows(cen: ExactOrderCensus, fmt: str) -> str:
+    rows = [(k, cen.unit_counts.get(k, 0), e_k) for k, e_k in sorted(cen.all_counts.items())]
+    return _render_rows(fmt, f"k_max = {cen.k_max}", ("k", "T_k", "E_k"), rows)
 
 
 def render_census(cen: ExactOrderCensus, fmt: str) -> str:
     if fmt == "json":
         return render_json(census_to_json_dict(cen))
-    if fmt == "csv":
-        return census_to_csv(cen)
-    if fmt == "table":
-        return census_to_table(cen)
-    raise ValueError(f"unknown format {fmt!r}")
+    return _render_census_rows(cen, fmt)
 
 
 def cycles_to_json_dict(cs: CycleStructure) -> dict:
@@ -204,17 +199,8 @@ def cycles_to_json_dict(cs: CycleStructure) -> dict:
 def render_cycles(cs: CycleStructure, fmt: str) -> str:
     if fmt == "json":
         return render_json(cycles_to_json_dict(cs))
-    if fmt == "csv":
-        lines = ["k,points,cycles"]
-        for k, (pts, cyc) in sorted(cs.entries.items()):
-            lines.append(f"{k},{pts},{cyc}")
-        return "\n".join(lines) + "\n"
-    if fmt == "table":
-        rows = [("k", "points", "cycles")]
-        for k, (pts, cyc) in sorted(cs.entries.items()):
-            rows.append((str(k), str(pts), str(cyc)))
-        return f"n = {cs.n}\n" + _table(rows)
-    raise ValueError(f"unknown format {fmt!r}")
+    rows = [(k, pts, cyc) for k, (pts, cyc) in sorted(cs.entries.items())]
+    return _render_rows(fmt, f"n = {cs.n}", ("k", "points", "cycles"), rows)
 
 
 def audit_to_table(report: AuditReport) -> str:
@@ -230,7 +216,7 @@ def audit_to_table(report: AuditReport) -> str:
         f"  k_max = {report.k_max}",
         f"  min_fixed_points (E_1) = {report.min_fixed_points}",
         "",
-        census_to_table(report.census).rstrip("\n"),
+        _render_census_rows(report.census, "table").rstrip("\n"),
         "",
         "weak fractions (period <= B):",
     ]
@@ -249,8 +235,6 @@ def render_report(report: AuditReport, fmt: str) -> str:
     """
     if fmt == "json":
         return render_json(audit_to_json_dict(report))
-    if fmt == "csv":
-        return census_to_csv(report.census)
     if fmt == "table":
         return audit_to_table(report)
-    raise ValueError(f"unknown format {fmt!r}")
+    return _render_census_rows(report.census, fmt)

@@ -14,7 +14,6 @@ from rsa_fixpoints.arith import (
     factorize,
     is_prime,
     mobius,
-    mod_pow,
     multiplicative_order,
 )
 from rsa_fixpoints.errors import FactoringError
@@ -24,28 +23,6 @@ def test_gcd_zero_convention():
     assert gcd(0, 12) == 12
     assert gcd(24, 36) == 12
     assert gcd(5**2 - 1, 6) == 6
-
-
-def test_mod_pow_examples():
-    assert mod_pow(17, 1, 35) == 17
-    assert mod_pow(2, 5, 35) == 32
-    assert mod_pow(32, 5, 35) == 2  # (-3)^5 = -243 = 2 mod 35
-
-
-def test_mod_pow_matches_repeated_multiplication():
-    for base in range(0, 12):
-        for exp in range(0, 9):
-            acc = 1
-            for _ in range(exp):
-                acc = acc * base % 101
-            assert mod_pow(base, exp, 101) == acc
-
-
-def test_mod_pow_rejects_bad_modulus():
-    with pytest.raises(ValueError):
-        mod_pow(2, 3, 1)
-    with pytest.raises(ValueError):
-        mod_pow(2, 3, 0)
 
 
 def test_factorize_examples():

@@ -352,10 +352,11 @@ def test_invert_helper_cases(k):
     # c | d is d, so inverting d -> d gives phi, and constants invert to
     # the indicator of d = 1.
     f = factorize(k)
-    assert census._invert(f, lambda d: d) == {d: euler_phi(factorize(d)) for d in divisors(f)}
-    assert census._invert(f, lambda d: 5) == {d: 5 if d == 1 else 0 for d in divisors(f)}
-    squares = census._invert(f, lambda c: c * c)
-    assert squares == {d: _literal_inversion(lambda c: c * c, d) for d in divisors(f)}
+    divs = divisors(f)
+    assert census._invert(f, {d: d for d in divs}) == {d: euler_phi(factorize(d)) for d in divs}
+    assert census._invert(f, {d: 5 for d in divs}) == {d: 5 if d == 1 else 0 for d in divs}
+    squares = census._invert(f, {c: c * c for c in divs})
+    assert squares == {d: _literal_inversion(lambda c: c * c, d) for d in divs}
 
 
 def test_full_census_64_bit_instance():

@@ -14,10 +14,22 @@ def run_cli(*args, env=None):
     return subprocess.run(cmd, capture_output=True, text=True, env=env)
 
 
+GOLDEN_INSTANCES = (("5", "7", "5"), ("11", "71", "17"))
+
+
+def assert_golden(command, p, q, e, fmt):
+    result = run_cli(command, "--p", p, "--q", q, "--e", e, "--format", fmt)
+    assert result.returncode == 0
+    assert result.stdout == (GOLDEN / f"{command}_{p}_{q}_{e}.{fmt}").read_text()
+
+
 def test_audit_matches_golden_bytes():
     result = run_cli("audit", "--p", "5", "--q", "7", "--e", "5")
     assert result.returncode == 0
     assert result.stdout == (GOLDEN / "audit_5_7_5.json").read_text()
+    for inst in GOLDEN_INSTANCES:
+        for fmt in ("csv", "table"):
+            assert_golden("audit", *inst, fmt)
 
 
 def test_census_matches_golden_bytes():
@@ -25,12 +37,17 @@ def test_census_matches_golden_bytes():
         result = run_cli("census", "--p", "5", "--q", "7", "--e", "5", "--format", fmt)
         assert result.returncode == 0
         assert result.stdout == (GOLDEN / name).read_text()
+    for inst in GOLDEN_INSTANCES:
+        assert_golden("census", *inst, "table")
 
 
 def test_cycles_matches_golden_bytes():
     result = run_cli("cycles", "--p", "5", "--q", "7", "--e", "5")
     assert result.returncode == 0
     assert result.stdout == (GOLDEN / "cycles_5_7_5.json").read_text()
+    for inst in GOLDEN_INSTANCES:
+        for fmt in ("csv", "table"):
+            assert_golden("cycles", *inst, fmt)
 
 
 def test_output_is_deterministic():
@@ -147,6 +164,15 @@ def test_factor_demo_reports_true_factor():
     assert payload["factor"] * payload["cofactor"] == 11 * 71
     m = payload["fixed_point"]
     assert pow(m, 17, 11 * 71) == m
+    # Golden bytes; --cap 5 is below E_1 = 15, so the (0 mod p, 1 mod q) point.
+    for (p, q, e), extra, name in [
+        (GOLDEN_INSTANCES[0], (), "factor_demo_5_7_5.json"),
+        (GOLDEN_INSTANCES[1], (), "factor_demo_11_71_17.json"),
+        (GOLDEN_INSTANCES[0], ("--cap", "5"), "factor_demo_5_7_5_cap5.json"),
+    ]:
+        result = run_cli("factor-demo", "--p", p, "--q", q, "--e", e, *extra)
+        assert result.returncode == 0
+        assert result.stdout == (GOLDEN / name).read_text()
 
 
 def test_census_and_oracle_subcommands_agree():

@@ -3,7 +3,7 @@ from math import gcd
 import pytest
 
 from conftest import sample_exponents, semiprime_pairs, walk_periods
-from rsa_fixpoints import census, dynamics
+from rsa_fixpoints import census
 from rsa_fixpoints.census import RsaInstance, make_instance
 from rsa_fixpoints.dynamics import (
     analytic_cycle_structure,
@@ -153,25 +153,17 @@ def test_find_nontrivial_fixed_point_reference():
 def test_find_nontrivial_on_sample():
     for inst in _sample_instances(300, e_count=1):
         m = find_nontrivial_fixed_point(inst)
-        assert m is not None
         assert m not in (0, 1, inst.n - 1)
         assert pow(m, inst.e, inst.n) == m
-        factor = extract_factor_from_fixed_point(m, inst.n)
-        if factor is None:
-            # only possible when both CRT components are +-1
-            assert m % inst.p in (1, inst.p - 1)
-            assert m % inst.q in (1, inst.q - 1)
-        else:
-            assert factor in (inst.p, inst.q)
+        assert extract_factor_from_fixed_point(m, inst.n) in (inst.p, inst.q)
+        # smallest such point: every fixed point below m fails to split n
+        for x in enumerate_fixed_points(inst, 1):
+            if x == m:
+                break
+            assert extract_factor_from_fixed_point(x, inst.n) is None
 
 
 def test_find_nontrivial_budget_fallback():
     m = find_nontrivial_fixed_point(INST, budget=5)  # E_1 = 15 > 5
     assert m == 15  # (0 mod 5, 1 mod 7)
     assert pow(m, 5, 35) == m
-
-
-def test_find_nontrivial_degenerate_override(monkeypatch):
-    # E_1 = 3 cannot happen for validated instances (E_1 >= 9); force it
-    monkeypatch.setattr(dynamics.census, "exact_order_all_count", lambda inst, k: 3)
-    assert find_nontrivial_fixed_point(INST) is None

@@ -87,3 +87,11 @@ def test_census_json_round_trip_identity():
     parsed = reports.census_from_json_dict(json.loads(rendered))
     assert parsed == report.census
     assert reports.render_json(reports.census_to_json_dict(parsed)) == rendered
+
+
+def test_build_audit_report_rejects_bounds_below_one():
+    inst = make_instance(5, 7, 5)
+    with pytest.raises(ValueError, match="got 0"):
+        build_audit_report(inst, warn_bound=0)
+    with pytest.raises(ValueError, match="got 0"):
+        build_audit_report(inst, weak_bounds=(0, 2))
