@@ -11,9 +11,7 @@ from .arith import (
     divisors,
     euler_phi,
     factorize,
-    gcd,
     is_prime,
-    lcm,
     mobius,
     multiplicative_order,
 )

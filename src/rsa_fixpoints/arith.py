@@ -16,8 +16,6 @@ from .errors import FactoringError
 
 __all__ = [
     "Factorization",
-    "gcd",
-    "lcm",
     "is_prime",
     "factorize",
     "divisors",

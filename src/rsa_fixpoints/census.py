@@ -165,9 +165,20 @@ def cumulative_unit_fixed_count(inst: RsaInstance, k: int) -> int:
     )
 
 
+def _period_counts_at(inst: RsaInstance, k: int) -> tuple[int, int]:
+    # (T_k, E_k); a k that does not divide k_max is no period, so it gets
+    # (0, 0) without factoring k, which may be large and hard to factor.
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if max_period(inst) % k:
+        return 0, 0
+    units, alls = _period_counts(inst, arith.factorize(k))
+    return units[k], alls[k]
+
+
 def exact_order_unit_count(inst: RsaInstance, k: int) -> int:
     """Units of exact period k under x -> x**e; 0 when k does not divide k_max."""
-    return _period_counts(inst, arith.factorize(k))[0][k]
+    return _period_counts_at(inst, k)[0]
 
 
 def exact_order_all_count(inst: RsaInstance, k: int) -> int:
@@ -177,7 +188,7 @@ def exact_order_all_count(inst: RsaInstance, k: int) -> int:
     per prime the solutions of x**(e**d) = x are the units of order
     dividing e**d - 1 plus the single zero residue.
     """
-    return _period_counts(inst, arith.factorize(k))[1][k]
+    return _period_counts_at(inst, k)[1]
 
 
 def per_prime_exact_order_count(prime: int, e: int, k: int) -> int:

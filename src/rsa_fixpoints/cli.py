@@ -59,28 +59,20 @@ def _fraction_arg(s: str) -> Fraction:
     return f
 
 
-def _default_warn_fraction() -> Fraction:
-    raw = os.environ.get(WARN_FRACTION_ENV)
-    if raw is None:
-        return reports.DEFAULT_WARN_FRACTION
-    try:
-        return Fraction(raw)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"{WARN_FRACTION_ENV}={raw!r} is not a rational number")
-
-
 def _resolve_instance(args) -> census.RsaInstance:
-    """Build the instance from --p/--q or by factoring --n."""
-    if args.n is not None:
-        f = arith.factorize(args.n, budget=args.factor_budget)
-        if len(f.factors) != 2 or any(a != 1 for _, a in f.factors) or f.factors[0][0] == 2:
-            raise ValueError(
-                f"n = {args.n} is not a product of two distinct odd primes: "
-                f"{f.factors}"
-            )
-        (p, _), (q, _) = f.factors
-        return census.make_instance(p, q, args.e)
-    return census.make_instance(args.p, args.q, args.e)
+    """Build the instance from --p/--q or, where offered, by factoring --n."""
+    n = getattr(args, "n", None)
+    if n is None:
+        if args.p is None or args.q is None:
+            raise ValueError("either --p and --q, or --n, must be given")
+        return census.make_instance(args.p, args.q, args.e)
+    if args.p is not None or args.q is not None:
+        raise ValueError("--n cannot be combined with --p/--q")
+    f = arith.factorize(n, budget=args.factor_budget)
+    if len(f.factors) != 2 or any(a != 1 for _, a in f.factors) or f.factors[0][0] == 2:
+        raise ValueError(f"n = {n} is not a product of two distinct odd primes: {f.factors}")
+    (p, _), (q, _) = f.factors
+    return census.make_instance(p, q, args.e)
 
 
 def _add_instance_flags(sub, with_n: bool = False) -> None:
@@ -97,68 +89,43 @@ def _add_instance_flags(sub, with_n: bool = False) -> None:
         )
 
 
-def _check_instance_flags(args, parser) -> None:
-    has_n = getattr(args, "n", None) is not None
-    if has_n:
-        if args.p is not None or args.q is not None:
-            parser.error("--n cannot be combined with --p/--q")
-    elif args.p is None or args.q is None:
-        parser.error("either --p and --q, or --n, must be given")
+def cmd_census(inst: census.RsaInstance, args) -> str:
+    return reports.render_census(census.full_census(inst), args.format)
 
 
-def cmd_census(args) -> int:
-    inst = census.make_instance(args.p, args.q, args.e)
-    sys.stdout.write(reports.render_census(census.full_census(inst), args.format))
-    return EXIT_OK
-
-
-def cmd_audit(args, parser) -> int:
-    _check_instance_flags(args, parser)
-    inst = _resolve_instance(args)
-    warn_fraction = args.warn_fraction if args.warn_fraction is not None else _default_warn_fraction()
+def cmd_audit(inst: census.RsaInstance, args) -> str:
     report = reports.build_audit_report(
         inst,
         weak_bounds=args.weak_bounds,
         warn_bound=args.warn_bound,
-        warn_fraction=warn_fraction,
+        warn_fraction=args.warn_fraction,
         min_k_max=args.min_kmax,
     )
-    sys.stdout.write(reports.render_report(report, args.format))
-    return EXIT_OK
+    return reports.render_report(report, args.format)
 
 
-def cmd_cycles(args) -> int:
-    inst = census.make_instance(args.p, args.q, args.e)
-    sys.stdout.write(reports.render_cycles(dynamics.analytic_cycle_structure(inst), args.format))
-    return EXIT_OK
+def cmd_cycles(inst: census.RsaInstance, args) -> str:
+    return reports.render_cycles(dynamics.analytic_cycle_structure(inst), args.format)
 
 
-def cmd_enumerate(args) -> int:
-    inst = census.make_instance(args.p, args.q, args.e)
+def cmd_enumerate(inst: census.RsaInstance, args) -> str:
     points = dynamics.enumerate_fixed_points(inst, args.k, cap=args.cap)
     if args.format == "lines":
-        sys.stdout.write("".join(f"{m}\n" for m in points))
-        return EXIT_OK
+        return "".join(f"{m}\n" for m in points)
     payload = {
         "instance": reports.instance_to_json_dict(inst),
         "k": reports.encode_int(args.k),
         "count": len(points),
         "fixed_points": [reports.encode_int(m) for m in points],
     }
-    sys.stdout.write(reports.render_json(payload))
-    return EXIT_OK
+    return reports.render_json(payload)
 
 
-def cmd_oracle(args, parser) -> int:
-    _check_instance_flags(args, parser)
-    inst = _resolve_instance(args)
-    cen = oracle.brute_power_map_census(inst, limit=args.limit)
-    sys.stdout.write(reports.render_census(cen, args.format))
-    return EXIT_OK
+def cmd_oracle(inst: census.RsaInstance, args) -> str:
+    return reports.render_census(oracle.brute_power_map_census(inst, limit=args.limit), args.format)
 
 
-def cmd_factor_demo(args) -> int:
-    inst = census.make_instance(args.p, args.q, args.e)
+def cmd_factor_demo(inst: census.RsaInstance, args) -> str:
     m = dynamics.find_nontrivial_fixed_point(inst, budget=args.cap)
     factor = dynamics.extract_factor_from_fixed_point(m, inst.n)
     payload = {
@@ -169,8 +136,7 @@ def cmd_factor_demo(args) -> int:
         "fixed_point_mod_p": reports.encode_int(m % inst.p),
         "fixed_point_mod_q": reports.encode_int(m % inst.q),
     }
-    sys.stdout.write(reports.render_json(payload))
-    return EXIT_OK
+    return reports.render_json(payload)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -203,7 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument(
         "--warn-fraction",
         type=_fraction_arg,
-        default=None,
+        # A string default goes through _fraction_arg too, so the variable
+        # is checked exactly like the flag.
+        default=os.environ.get(WARN_FRACTION_ENV, str(reports.DEFAULT_WARN_FRACTION)),
         help=f"WARN threshold as an exact rational (default 1/1000, or ${WARN_FRACTION_ENV})",
     )
     p_audit.add_argument(
@@ -212,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="WARN when k_max is below this floor (default 1 = disabled)",
     )
-    p_audit.set_defaults(handler=lambda a: cmd_audit(a, p_audit))
+    p_audit.set_defaults(handler=cmd_audit)
 
     p_cycles = sub.add_parser("cycles", help="analytic cycle structure")
     _add_instance_flags(p_cycles)
@@ -240,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="largest modulus the scan will accept",
     )
     p_oracle.add_argument("--format", choices=("json", "csv", "table"), default="json")
-    p_oracle.set_defaults(handler=lambda a: cmd_oracle(a, p_oracle))
+    p_oracle.set_defaults(handler=cmd_oracle)
 
     p_demo = sub.add_parser(
         "factor-demo", help="recover a factor of n from a nontrivial fixed point"
@@ -253,10 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        sys.stdout.write(args.handler(_resolve_instance(args), args))
+        return EXIT_OK
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -267,6 +235,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP_EXCEEDED
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -135,8 +135,9 @@ def enumerate_fixed_points(
     cq = p * pow(p, -1, q) % n
     period_of_lcm: dict[int, int] = {1: 1}
     points: list[int] = []
+    classes_q = _solution_classes(q, e, k)
     for u, elems_p in _solution_classes(p, e, k):
-        for v, elems_q in _solution_classes(q, e, k):
+        for v, elems_q in classes_q:
             L = lcm(u or 1, v or 1)
             period = period_of_lcm.get(L)
             if period is None:

@@ -69,11 +69,14 @@ def build_audit_report(
     WARN fires when the weak fraction at ``warn_bound`` exceeds
     ``warn_fraction`` or k_max falls below ``min_k_max``; DEGENERATE
     when e = 1 mod lambda(n) (identity permutation) and overrides WARN.
-    Raises ValueError when ``warn_bound`` or any of ``weak_bounds`` is below 1.
+    Raises ValueError when ``warn_bound`` or any of ``weak_bounds`` is
+    below 1, or when ``warn_fraction`` is negative.
     """
     for b in (*weak_bounds, warn_bound):
         if b < 1:
             raise ValueError(f"period bound must be >= 1, got {b}")
+    if warn_fraction < 0:
+        raise ValueError(f"warn_fraction must be nonnegative, got {warn_fraction}")
     cen = census_mod.full_census(inst)
     k_max = cen.k_max
     bounds = sorted({*weak_bounds, warn_bound, k_max})

@@ -215,11 +215,15 @@ def test_full_census_keys_are_divisors_of_k_max():
 
 def test_counts_vanish_beyond_k_max():
     inst = make_instance(5, 7, 5)  # k_max = 2
-    for k in (3, 4, 5, 6, 7, 8, 12, 24):
-        if k in (1, 2):
-            continue
+    # A 201-bit semiprime beyond the default rho budget: the count is 0
+    # because k does not divide k_max, with no attempt to factor k.
+    semiprime = 1267650600228229401496703205653 * 1267650600228229401496704205379
+    for k in (3, 4, 5, 6, 7, 8, 12, 24, semiprime):
         assert exact_order_unit_count(inst, k) == 0
         assert exact_order_all_count(inst, k) == 0
+    for count in (exact_order_unit_count, exact_order_all_count):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            count(inst, 0)
 
 
 def _quick_grid(n_limit=1000, e_count=3):

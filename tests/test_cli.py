@@ -72,11 +72,31 @@ def test_audit_census_round_trip_from_golden():
 
 
 def test_exit_code_invalid_parameters():
+    import os
+
     assert run_cli("audit", "--p", "5", "--q", "7", "--e", "4").returncode == 2
     assert run_cli("audit", "--p", "9", "--q", "7", "--e", "5").returncode == 2
     assert run_cli("audit", "--p", "5", "--q", "5", "--e", "3").returncode == 2
     assert run_cli("census", "--p", "5", "--e", "5").returncode == 2  # missing --q
     assert run_cli("audit", "--n", "21", "--e", "5", "--p", "3").returncode == 2
+    # The instance resolver's errors: one "error:" line, nothing on stdout.
+    for argv in (
+        ("audit", "--n", "35", "--p", "5", "--e", "5"),
+        ("audit", "--e", "5"),
+        ("oracle", "--n", "35", "--q", "7", "--e", "5"),
+        ("enumerate", "--p", "5", "--q", "7", "--e", "5", "--k", "0"),
+    ):
+        result = run_cli(*argv)
+        assert result.returncode == 2, argv
+        assert result.stdout == ""
+        assert result.stderr.startswith("error:")
+    # The environment variable is parsed like --warn-fraction.
+    for raw in ("-1", "abc"):
+        env = dict(os.environ, RSA_FIXPOINT_WARN_FRACTION=raw)
+        result = run_cli("audit", "--p", "1019", "--q", "2063", "--e", "65537", env=env)
+        assert result.returncode == 2, raw
+        assert result.stdout == ""
+        assert "error:" in result.stderr and "--warn-fraction" in result.stderr
 
 
 def test_exit_code_factoring_failed():
@@ -85,14 +105,17 @@ def test_exit_code_factoring_failed():
     n = str(int(a) * int(b))
     result = run_cli("audit", "--n", n, "--e", "65537", "--factor-budget", "100")
     assert result.returncode == 3
+    assert result.stdout == ""
 
 
 def test_exit_code_cap_and_limit():
-    assert (
-        run_cli("enumerate", "--p", "5", "--q", "7", "--e", "5", "--k", "1", "--cap", "5").returncode
-        == 4
-    )
-    assert run_cli("oracle", "--n", "35", "--e", "5", "--limit", "10").returncode == 4
+    for argv in (
+        ("enumerate", "--p", "5", "--q", "7", "--e", "5", "--k", "1", "--cap", "5"),
+        ("oracle", "--n", "35", "--e", "5", "--limit", "10"),
+    ):
+        result = run_cli(*argv)
+        assert result.returncode == 4, argv
+        assert result.stdout == ""
 
 
 def test_audit_via_n_factors_first():
@@ -141,12 +164,15 @@ def test_enumerate_lines_output():
 
 
 def test_enumerate_json_writes_large_k_as_string():
-    k = 2**54
-    result = run_cli("enumerate", "--p", "5", "--q", "7", "--e", "5", "--k", str(k))
-    assert result.returncode == 0
-    payload = json.loads(result.stdout)
-    assert payload["k"] == str(k)
-    assert payload["count"] == 0 and payload["fixed_points"] == []
+    # The second k is a 201-bit semiprime: it does not divide k_max = 2, so
+    # nothing is listed and k is never factored.
+    semiprime = 1267650600228229401496703205653 * 1267650600228229401496704205379
+    for k in (2**54, semiprime):
+        result = run_cli("enumerate", "--p", "5", "--q", "7", "--e", "5", "--k", str(k))
+        assert result.returncode == 0
+        payload = json.loads(result.stdout)
+        assert payload["k"] == str(k)
+        assert payload["count"] == 0 and payload["fixed_points"] == []
 
 
 def test_audit_rejects_bounds_below_one():

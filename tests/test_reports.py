@@ -95,3 +95,5 @@ def test_build_audit_report_rejects_bounds_below_one():
         build_audit_report(inst, warn_bound=0)
     with pytest.raises(ValueError, match="got 0"):
         build_audit_report(inst, weak_bounds=(0, 2))
+    with pytest.raises(ValueError, match="got -1"):
+        build_audit_report(make_instance(1019, 2063, 65537), warn_fraction=Fraction(-1))
