@@ -94,11 +94,18 @@ def cmd_census(inst: census.RsaInstance, args) -> str:
 
 
 def cmd_audit(inst: census.RsaInstance, args) -> str:
+    warn_fraction = args.warn_fraction
+    if warn_fraction is None:
+        raw = os.environ.get(WARN_FRACTION_ENV, str(reports.DEFAULT_WARN_FRACTION))
+        try:
+            warn_fraction = _fraction_arg(raw)
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"{WARN_FRACTION_ENV} (default of --warn-fraction): {exc}") from None
     report = reports.build_audit_report(
         inst,
         weak_bounds=args.weak_bounds,
         warn_bound=args.warn_bound,
-        warn_fraction=args.warn_fraction,
+        warn_fraction=warn_fraction,
         min_k_max=args.min_kmax,
     )
     return reports.render_report(report, args.format)
@@ -169,9 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument(
         "--warn-fraction",
         type=_fraction_arg,
-        # A string default goes through _fraction_arg too, so the variable
-        # is checked exactly like the flag.
-        default=os.environ.get(WARN_FRACTION_ENV, str(reports.DEFAULT_WARN_FRACTION)),
         help=f"WARN threshold as an exact rational (default 1/1000, or ${WARN_FRACTION_ENV})",
     )
     p_audit.add_argument(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from math import gcd, lcm
 
 from . import arith, census
@@ -119,10 +120,13 @@ def enumerate_fixed_points(
 ) -> list[int]:
     """All residues of exact period k, ascending.
 
-    Built by CRT-pairing the per-prime solution sets of x**(e**k) = x
-    and keeping the pairs whose combined order gives period exactly k.
-    Raises CapExceededError (carrying the count) when the census says
-    the list would exceed ``cap``.
+    Pairs the per-prime solution classes of x**(e**k) = x whose combined
+    order gives period exactly k.  A dense period (at least n/16 points)
+    is marked in an n-byte mask over Z_n and read back in ascending
+    order, with no sort; a sparse one is built by CRT pairing and then
+    sorted.  Raises CapExceededError (carrying the count) when the
+    census says the list would exceed ``cap``; this check comes before
+    anything n-sized is allocated.
     """
     expected = census.exact_order_all_count(inst, k)
     if expected > cap:
@@ -130,24 +134,46 @@ def enumerate_fixed_points(
     if expected == 0:
         return []
     p, q, n, e = inst.p, inst.q, inst.n, inst.e
-    # CRT basis: cp = 1 mod p, 0 mod q and cq the other way around.
-    cp = q * pow(q, -1, p) % n
-    cq = p * pow(p, -1, q) % n
+    # Each p-class with the q-residues it pairs with into period k.
+    pairs: list[tuple[list[int], list[int]]] = []
     period_of_lcm: dict[int, int] = {1: 1}
-    points: list[int] = []
     classes_q = _solution_classes(q, e, k)
     for u, elems_p in _solution_classes(p, e, k):
-        for v, elems_q in classes_q:
+        elems_q: list[int] = []
+        for v, elems_v in classes_q:
             L = lcm(u or 1, v or 1)
             period = period_of_lcm.get(L)
             if period is None:
                 period = arith.multiplicative_order(e, L)
                 period_of_lcm[L] = period
-            if period != k:
-                continue
+            if period == k:
+                elems_q += elems_v
+        if elems_q:
+            pairs.append((elems_p, elems_q))
+    p_inv = pow(p, -1, q)
+    # Dense classes: reading an n-byte mask back visits every residue, but
+    # in C and with no sort, and its n bytes stay below the list's own ints.
+    if 16 * expected >= n:
+        # x = a + p*t, t in [0, q), is b mod q exactly when
+        # t = b*p^-1 - a*p^-1 (mod q): one strided row per residue a.
+        mask = bytearray(n)
+        for elems_p, elems_q in pairs:
+            ind = bytearray(q)
+            for b in elems_q:
+                ind[b * p_inv % q] = 1
+            ind *= 2  # ind[s : s + q] is then ind rotated left by s
             for a in elems_p:
-                base = a * cp
-                points += [(base + b * cq) % n for b in elems_q]
+                s = a * p_inv % q
+                mask[a::p] = ind[s : s + q]
+        return list(compress(range(n), mask))
+    # CRT basis: cp = 1 mod p, 0 mod q and cq the other way around.
+    cp = q * pow(q, -1, p)
+    cq = p * p_inv
+    points: list[int] = []
+    for elems_p, elems_q in pairs:
+        for a in elems_p:
+            base = a * cp
+            points += [(base + b * cq) % n for b in elems_q]
     points.sort()
     return points
 

@@ -97,6 +97,11 @@ def test_exit_code_invalid_parameters():
         assert result.returncode == 2, raw
         assert result.stdout == ""
         assert "error:" in result.stderr and "--warn-fraction" in result.stderr
+        assert "RSA_FIXPOINT_WARN_FRACTION" in result.stderr
+        # An explicit flag wins over a bad variable.
+        flag = ("--warn-fraction", "1/1000")
+        result = run_cli("audit", "--p", "1019", "--q", "2063", "--e", "65537", *flag, env=env)
+        assert result.returncode == 0, raw
 
 
 def test_exit_code_factoring_failed():

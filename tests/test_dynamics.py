@@ -1,8 +1,9 @@
-from math import gcd
+import random
+from math import gcd, lcm
 
 import pytest
 
-from conftest import sample_exponents, semiprime_pairs, walk_periods
+from conftest import odd_primes_upto, sample_exponents, semiprime_pairs, walk_periods
 from rsa_fixpoints import census
 from rsa_fixpoints.census import RsaInstance, make_instance
 from rsa_fixpoints.dynamics import (
@@ -108,6 +109,43 @@ def test_enumerate_cap_error_carries_count():
         enumerate_fixed_points(INST, 1, cap=5)
     assert exc.value.count == 15
     assert exc.value.cap == 5
+    # 64-bit p, q at k = K_max: E_k is about n = 2^128, so the cap must trip
+    # before anything n-sized is allocated.
+    big = make_instance(2**64 - 59, 2**64 - 83, 65537)
+    k_max = census.max_period(big)
+    with pytest.raises(CapExceededError) as exc:
+        enumerate_fixed_points(big, k_max)
+    assert exc.value.count == census.exact_order_all_count(big, k_max)
+    assert exc.value.count > big.n // 2
+    assert exc.value.cap == 1_000_000
+
+
+def test_enumerate_matches_iteration_beyond_sweep():
+    # Seeded moduli 10^4 <= n <= 10^5, past the acceptance sweep's pq <= 3000,
+    # against literal iteration for every k | K_max.
+    rng = random.Random("enumerate-beyond-sweep")
+    primes = odd_primes_upto(10**5 // 11)
+    dense_sides = set()
+    for e_choice in (3, 65537, None, 1):
+        while True:
+            p, q = sorted(rng.sample(primes, 2))
+            lam = lcm(p - 1, q - 1)
+            e = e_choice or sample_exponents(lam, 1, seed=f"beyond:{p}:{q}")[0]
+            if 10**4 <= p * q <= 10**5 and gcd(e, lam) == 1:
+                break
+        inst = make_instance(p, q, e)
+        by_period: dict[int, list[int]] = {}
+        for x, k in enumerate(walk_periods(inst.n, e)):
+            by_period.setdefault(k, []).append(x)
+        cen = census.full_census(inst)
+        for k, e_k in cen.all_counts.items():
+            assert enumerate_fixed_points(inst, k, cap=inst.n) == by_period.get(k, []), (inst, k)
+            if e_k:
+                dense_sides.add(16 * e_k >= inst.n)
+        if e == 1:
+            assert enumerate_fixed_points(inst, 1, cap=inst.n) == list(range(inst.n))
+    # Both emitters ran: the n-byte mask and CRT pairing with a sort.
+    assert dense_sides == {True, False}
 
 
 def test_analytic_cycle_structure_reference():
