@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
-from math import gcd, lcm
+from itertools import chain, compress, cycle, repeat
+from math import gcd, isqrt, lcm
+from operator import add
 
 from . import arith, census
 from .census import RsaInstance
@@ -102,17 +103,44 @@ def analytic_cycle_structure(inst: RsaInstance) -> CycleStructure:
     return CycleStructure(entries=entries, n=inst.n)
 
 
-def _solution_classes(prime: int, e: int, k: int) -> list[tuple[int | None, list[int]]]:
-    # Residues mod prime with x**(e**k) = x, grouped by multiplicative
-    # order: the zero class plus, for each u | gcd(e**k - 1, prime - 1),
-    # the phi(u) units of exact order u (powers of a primitive root).
-    m = census._gcd_pow_minus_one(e, k, prime - 1)
-    root_of_order_m = pow(_primitive_root(prime), (prime - 1) // m, prime)
-    classes: list[tuple[int | None, list[int]]] = [(None, [0])]
-    for u in arith.divisors(arith.factorize(m)):
-        h = pow(root_of_order_m, m // u, prime)
-        classes.append((u, [pow(h, j, prime) for j in range(1, u + 1) if gcd(j, u) == 1]))
-    return classes
+@lru_cache(maxsize=128)
+def _residues_by_period(prime: int, e: int, m: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    # The x mod prime with x**(m + 1) = x (m | prime - 1) grouped by their
+    # period under y -> y**e mod prime, ascending: ord_u(e) for x of order
+    # u, and 1 for x = 0.  With h of order m, h**j has order m // gcd(j, m).
+    h = pow(_primitive_root(prime), (prime - 1) // m, prime)
+    orders = arith.divisors(arith.factorize(m))
+    period = {u: arith.multiplicative_order(e, u) if u > 1 else 1 for u in orders}
+    by_period: dict[int, list[int]] = {s: [] for s in sorted(set(period.values()))}
+    by_period[1].append(0)
+    x = 1
+    for j in range(m):
+        by_period[period[m // gcd(j, m)]].append(x)
+        x = x * h % prime
+    return tuple((s, tuple(xs)) for s, xs in by_period.items())
+
+
+def _period_products(inst: RsaInstance, k: int) -> tuple[list[tuple[list[int], list[int]]], int, int]:
+    # The residues of exact period k as products A x B (A's disjoint, A mod
+    # P, B mod Q), with (P, Q) = (p, q) or (q, p), whichever gives fewer A
+    # residues times Q.  x has the lcm of its components' periods.
+    P, Q, e = inst.p, inst.q, inst.e
+    classes_a, classes_b = (
+        _residues_by_period(x, e, census._gcd_pow_minus_one(e, k, x - 1)) for x in (P, Q)
+    )
+    links = [[lcm(s, t) == k for t, _ in classes_b] for s, _ in classes_a]
+    used_a = sum(len(xs) for (_, xs), row in zip(classes_a, links) if any(row))
+    used_b = sum(len(xs) for (_, xs), col in zip(classes_b, zip(*links)) if any(col))
+    if P * used_b < Q * used_a:
+        P, Q, classes_a, classes_b, links = Q, P, classes_b, classes_a, list(zip(*links))
+    # The a-classes linked to the same b-classes share one B.
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for (_, xs), row in zip(classes_a, links):
+        linked = tuple(j for j, ok in enumerate(row) if ok)
+        if linked:
+            groups.setdefault(linked, []).extend(xs)
+    products = [(A, list(chain.from_iterable(classes_b[j][1] for j in js))) for js, A in groups.items()]
+    return products, P, Q
 
 
 def enumerate_fixed_points(
@@ -120,62 +148,50 @@ def enumerate_fixed_points(
 ) -> list[int]:
     """All residues of exact period k, ascending.
 
-    Pairs the per-prime solution classes of x**(e**k) = x whose combined
-    order gives period exactly k.  A dense period (at least n/16 points)
-    is marked in an n-byte mask over Z_n and read back in ascending
-    order, with no sort; a sparse one is built by CRT pairing and then
-    sorted.  Raises CapExceededError (carrying the count) when the
-    census says the list would exceed ``cap``; this check comes before
-    anything n-sized is allocated.
+    They are products A x B of per-prime solution classes (A mod P, B mod
+    Q, {P, Q} = {p, q}), marked in a grid of rows t in [0, Q) by columns
+    a in the A's, ascending, whose cell (t, a) is x = a + P*t.  Read back
+    row by row the marks come out ascending, with no sort, at a cost in
+    proportion to the period's own size, not to n.  A period that would
+    mark under 1/16 of its grid is CRT-paired and sorted instead.  Raises
+    CapExceededError (carrying the count) when the census says the list
+    would exceed ``cap``; that check comes before anything is allocated.
     """
     expected = census.exact_order_all_count(inst, k)
     if expected > cap:
         raise CapExceededError(expected, cap)
     if expected == 0:
         return []
-    p, q, n, e = inst.p, inst.q, inst.n, inst.e
-    # Each p-class with the q-residues it pairs with into period k.
-    pairs: list[tuple[list[int], list[int]]] = []
-    period_of_lcm: dict[int, int] = {1: 1}
-    classes_q = _solution_classes(q, e, k)
-    for u, elems_p in _solution_classes(p, e, k):
-        elems_q: list[int] = []
-        for v, elems_v in classes_q:
-            L = lcm(u or 1, v or 1)
-            period = period_of_lcm.get(L)
-            if period is None:
-                period = arith.multiplicative_order(e, L)
-                period_of_lcm[L] = period
-            if period == k:
-                elems_q += elems_v
-        if elems_q:
-            pairs.append((elems_p, elems_q))
-    p_inv = pow(p, -1, q)
-    # Dense classes: reading an n-byte mask back visits every residue, but
-    # in C and with no sort, and its n bytes stay below the list's own ints.
-    if 16 * expected >= n:
-        # x = a + p*t, t in [0, q), is b mod q exactly when
-        # t = b*p^-1 - a*p^-1 (mod q): one strided row per residue a.
-        mask = bytearray(n)
-        for elems_p, elems_q in pairs:
-            ind = bytearray(q)
-            for b in elems_q:
-                ind[b * p_inv % q] = 1
-            ind *= 2  # ind[s : s + q] is then ind rotated left by s
-            for a in elems_p:
-                s = a * p_inv % q
-                mask[a::p] = ind[s : s + q]
-        return list(compress(range(n), mask))
-    # CRT basis: cp = 1 mod p, 0 mod q and cq the other way around.
-    cp = q * pow(q, -1, p)
-    cq = p * p_inv
-    points: list[int] = []
-    for elems_p, elems_q in pairs:
-        for a in elems_p:
-            base = a * cp
-            points += [(base + b * cq) % n for b in elems_q]
-    points.sort()
-    return points
+    products, P, Q = _period_products(inst, k)
+    n = inst.n
+    cols = sorted(chain.from_iterable(A for A, _ in products))
+    w = len(cols)
+    if 16 * expected < Q * w:
+        cp, cq = Q * pow(Q, -1, P), P * pow(P, -1, Q)  # cp = 1 mod P, 0 mod Q; cq the reverse
+        return sorted((a * cp + b * cq) % n for A, B in products for a in A for b in B)
+    # x = a + P*t is b mod Q exactly when t = (b - a)*P^-1 mod Q, so
+    # column a is B's marks rotated left by a*P^-1.
+    p_inv = pow(P, -1, Q)
+    column = {a: j for j, a in enumerate(cols)}
+    rows = isqrt(64 * Q // w) + 1  # rows per block: ~Q / rows calls against rows * w values
+    size = -(-Q // rows) * rows * w  # whole blocks; the rows past Q stay unmarked
+    grid = bytearray(size)
+    for A, B in products:
+        ind = bytearray(Q)
+        for b in B:
+            ind[b * p_inv % Q] = 1
+        ind *= 2  # ind[s : s + Q] is then ind rotated left by s
+        for a in A:
+            s = a * p_inv % Q
+            grid[column[a] : Q * w : w] = ind[s : s + Q]
+    # Read back a block at a time: cell r*w + j of block i is cols[j] + P*r
+    # + P*rows*i, ascending in the cell, and the blocks ascend with i.
+    block = rows * w
+    block_cols = [a + P * r for r in range(rows) for a in cols]
+    starts = range(0, size, block)
+    marks_per_block = map(grid.count, repeat(1), starts, range(block, size + block, block))
+    bases = chain.from_iterable(map(repeat, range(0, size // w * P, rows * P), marks_per_block))
+    return list(map(add, compress(cycle(block_cols), grid), bases))
 
 
 def extract_factor_from_fixed_point(m: int, n: int) -> int | None:

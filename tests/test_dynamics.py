@@ -7,6 +7,7 @@ from conftest import odd_primes_upto, sample_exponents, semiprime_pairs, walk_pe
 from rsa_fixpoints import census
 from rsa_fixpoints.census import RsaInstance, make_instance
 from rsa_fixpoints.dynamics import (
+    _period_products,
     analytic_cycle_structure,
     enumerate_fixed_points,
     extract_factor_from_fixed_point,
@@ -125,7 +126,7 @@ def test_enumerate_matches_iteration_beyond_sweep():
     # against literal iteration for every k | K_max.
     rng = random.Random("enumerate-beyond-sweep")
     primes = odd_primes_upto(10**5 // 11)
-    dense_sides = set()
+    grid_sides = set()
     for e_choice in (3, 65537, None, 1):
         while True:
             p, q = sorted(rng.sample(primes, 2))
@@ -141,11 +142,12 @@ def test_enumerate_matches_iteration_beyond_sweep():
         for k, e_k in cen.all_counts.items():
             assert enumerate_fixed_points(inst, k, cap=inst.n) == by_period.get(k, []), (inst, k)
             if e_k:
-                dense_sides.add(16 * e_k >= inst.n)
+                products, _, Q = _period_products(inst, k)
+                grid_sides.add(16 * e_k >= Q * sum(len(A) for A, _ in products))
         if e == 1:
             assert enumerate_fixed_points(inst, 1, cap=inst.n) == list(range(inst.n))
-    # Both emitters ran: the n-byte mask and CRT pairing with a sort.
-    assert dense_sides == {True, False}
+    # Both emitters ran: the grid read back row by row and CRT pairing with a sort.
+    assert grid_sides == {True, False}
 
 
 def test_analytic_cycle_structure_reference():
