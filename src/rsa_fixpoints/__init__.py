@@ -12,7 +12,6 @@ from .arith import (
     euler_phi,
     factorize,
     is_prime,
-    mobius,
     multiplicative_order,
 )
 from .census import (

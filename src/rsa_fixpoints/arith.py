@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 from .errors import FactoringError
 
@@ -19,7 +19,6 @@ __all__ = [
     "is_prime",
     "factorize",
     "divisors",
-    "mobius",
     "euler_phi",
     "carmichael_lambda",
     "multiplicative_order",
@@ -164,13 +163,9 @@ def _factorize(n: int, budget: int) -> Factorization:
             continue
         d, budget = _brent_rho(m, budget)
         if d is None:
-            remaining = m
-            for other in stack:
-                remaining *= other
+            remaining = m * prod(stack)
             partial_pairs = tuple(sorted(counts.items()))
-            partial_value = 1
-            for p, a in partial_pairs:
-                partial_value *= p**a
+            partial_value = prod(p**a for p, a in partial_pairs)
             raise FactoringError(value, Factorization(partial_pairs, partial_value), remaining)
         stack += [d, m // d]
     return Factorization(tuple(sorted(counts.items())), value)
@@ -185,22 +180,9 @@ def divisors(f: Factorization) -> list[int]:
     return divs
 
 
-def mobius(n: int) -> int:
-    """Mobius function: 0 on non-squarefree n, else (-1)**(#prime factors)."""
-    if n < 1:
-        raise ValueError(f"mobius is defined for n >= 1, got {n}")
-    f = factorize(n)
-    if any(a > 1 for _, a in f.factors):
-        return 0
-    return -1 if len(f.factors) % 2 else 1
-
-
 def euler_phi(f: Factorization) -> int:
     """Number of units modulo f.value."""
-    total = 1
-    for p, a in f.factors:
-        total *= p ** (a - 1) * (p - 1)
-    return total
+    return prod(p ** (a - 1) * (p - 1) for p, a in f.factors)
 
 
 def carmichael_lambda(f: Factorization) -> int:
@@ -230,11 +212,26 @@ def multiplicative_order(a: int, m: int) -> int:
     a %= m
     if gcd(a, m) != 1:
         raise ValueError(f"{a} is not a unit modulo {m}")
-    order = carmichael_lambda(factorize(m))
-    for p, _ in factorize(order).factors:
-        while order % p == 0 and pow(a, order // p, m) == 1:
-            order //= p
-    return order
+    lam = carmichael_lambda(factorize(m))
+    return prod(s**v for s, v in _order_exponents(a, m, factorize(lam).factors).items())
+
+
+def _order_exponents(a: int, m: int, factors) -> dict[int, int]:
+    # {s: v_s(ord_m(a))} for each (s, c) of factors, given that ord_m(a)
+    # divides the product of their s**c.  Halving: a**(one half's product)
+    # has the other half's part of ord_m(a) as its order.  With one (s, c)
+    # left, v counts the s-th powers that take a to 1.
+    a %= m
+    if a == 1:
+        return {s: 0 for s, _ in factors}
+    if len(factors) > 1:
+        lo, hi = factors[: len(factors) // 2], factors[len(factors) // 2 :]
+        left = _order_exponents(pow(a, prod(s**c for s, c in hi), m), m, lo)
+        return left | _order_exponents(pow(a, prod(s**c for s, c in lo), m), m, hi)
+    (s, c), v = factors[0], 1
+    while v < c and (a := pow(a, s, m)) != 1:
+        v += 1
+    return {s: v}
 
 
 def crt_combine(residues) -> int:

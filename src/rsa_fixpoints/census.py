@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from math import gcd, lcm
+from functools import lru_cache
+from math import gcd, lcm, prod
 
 from . import arith
 from .arith import Factorization
@@ -96,6 +97,36 @@ def make_instance(p: int, q: int, e: int) -> RsaInstance:
     )
 
 
+@lru_cache(maxsize=1024)
+def _orders(inst: RsaInstance) -> tuple[dict[int, tuple[int, ...]], tuple, Factorization]:
+    # The factored-order table, the one place an instance's numbers are
+    # factored: o(r, b) = ord_{r**b}(e) at orders[r][b] for each r**b | lambda
+    # (1 at b = 0), trimmed from r**(b-1) * (r - 1); (x, x - 1 factored) for
+    # x = p, q; and K = lcm of o(r, v_r(lambda)), factored.  The sort puts the
+    # larger exponent of a prime of both p - 1 and q - 1 last, so it wins.
+    sides = tuple((x, arith.factorize(x - 1)) for x in (inst.p, inst.q))
+    orders, k_exps = {}, {}
+    for r, a in dict(sorted(sides[0][1].factors + sides[1][1].factors)).items():
+        rf = arith.factorize(r - 1).factors
+        vs = [arith._order_exponents(inst.e, r**b, ((r, b - 1), *rf)) for b in range(1, a + 1)]
+        orders[r] = (1, *(prod(s**j for s, j in v.items()) for v in vs))
+        for s, j in vs[-1].items():
+            k_exps[s] = max(j, k_exps.get(s, 0))
+    k_factors = tuple(sorted((s, j) for s, j in k_exps.items() if j))
+    return orders, sides, Factorization(k_factors, prod(s**j for s, j in k_factors))
+
+
+def _unit_gcd(orders: dict[int, tuple[int, ...]], f: Factorization, d: int) -> int:
+    # gcd(e**d - 1, x - 1) for f = x - 1 factored: per r**c || x - 1, the
+    # factor r**b with b the largest exponent up to c such that o(r, b) | d.
+    g = 1
+    for r, b in f.factors:
+        while d % orders[r][b]:
+            b -= 1
+        g *= r**b
+    return g
+
+
 def _gcd_pow_minus_one(e: int, k: int, m: int) -> int:
     # gcd(e**k - 1, m) without forming e**k: gcd(x, m) = gcd(x mod m, m).
     return gcd((pow(e, k, m) - 1) % m, m)
@@ -121,8 +152,8 @@ def _invert_at(k: int, cumulative: Callable[[int], int]) -> int:
 
 def _period_counts(inst: RsaInstance, f: Factorization) -> tuple[dict[int, int], dict[int, int]]:
     # T_d and E_d at every d | f.value: invert g_p g_q and (g_p + 1)(g_q + 1).
-    e, p1, q1 = inst.e, inst.p - 1, inst.q - 1
-    g = {d: (_gcd_pow_minus_one(e, d, p1), _gcd_pow_minus_one(e, d, q1)) for d in arith.divisors(f)}
+    orders, ((_, fp), (_, fq)), _ = _orders(inst)
+    g = {d: (_unit_gcd(orders, fp, d), _unit_gcd(orders, fq, d)) for d in arith.divisors(f)}
     return (
         _invert(f, {d: gp * gq for d, (gp, gq) in g.items()}),
         _invert(f, {d: (gp + 1) * (gq + 1) for d, (gp, gq) in g.items()}),
@@ -148,10 +179,7 @@ def roots_of_unity_count(r: int, f: Factorization) -> int:
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    count = 1
-    for p, a in f.factors:
-        count *= _unit_root_count_prime_power(r, p, a)
-    return count
+    return prod(_unit_root_count_prime_power(r, p, a) for p, a in f.factors)
 
 
 def cumulative_unit_fixed_count(inst: RsaInstance, k: int) -> int:
@@ -160,9 +188,8 @@ def cumulative_unit_fixed_count(inst: RsaInstance, k: int) -> int:
     Counts units of period dividing k, i.e. the divisor-sum of the exact
     counts; gcd(0, m) = m makes this total at e = 1.
     """
-    return _gcd_pow_minus_one(inst.e, k, inst.p - 1) * _gcd_pow_minus_one(
-        inst.e, k, inst.q - 1
-    )
+    orders, sides, _ = _orders(inst)
+    return prod(_unit_gcd(orders, f, k) for _, f in sides)
 
 
 def _period_counts_at(inst: RsaInstance, k: int) -> tuple[int, int]:
@@ -170,9 +197,12 @@ def _period_counts_at(inst: RsaInstance, k: int) -> tuple[int, int]:
     # (0, 0) without factoring k, which may be large and hard to factor.
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if max_period(inst) % k:
+    _, _, k_max = _orders(inst)
+    if k_max.value % k:
         return 0, 0
-    units, alls = _period_counts(inst, arith.factorize(k))
+    # k factored over K's primes, with no search.
+    exps = ((r, next(b for b in range(a, -1, -1) if k % r**b == 0)) for r, a in k_max.factors)
+    units, alls = _period_counts(inst, Factorization(tuple([(r, b) for r, b in exps if b]), k))
     return units[k], alls[k]
 
 
@@ -212,10 +242,7 @@ def poly_fixed_count(d: int, f: Factorization) -> int:
         raise ValueError(f"d must be >= 1, got {d}")
     if d == 1:
         return f.value
-    count = 1
-    for p, a in f.factors:
-        count *= 1 + _unit_root_count_prime_power(d - 1, p, a)
-    return count
+    return prod(1 + _unit_root_count_prime_power(d - 1, p, a) for p, a in f.factors)
 
 
 def exact_quasi_order_count(f: Factorization, r: int) -> int:
@@ -236,12 +263,11 @@ def exact_quasi_order_count(f: Factorization, r: int) -> int:
 
 def max_period(inst: RsaInstance) -> int:
     """Smallest K with e**K = 1 mod lambda(n): every period divides K."""
-    if inst.lam == 1:
-        return 1
-    return arith.multiplicative_order(inst.e, inst.lam)
+    _, _, k_max = _orders(inst)
+    return k_max.value
 
 
 def full_census(inst: RsaInstance) -> ExactOrderCensus:
     """Evaluate the exact-period counts at every divisor of k_max."""
-    k_max = max_period(inst)
-    return ExactOrderCensus(k_max, *_period_counts(inst, arith.factorize(k_max)))
+    _, _, k_max = _orders(inst)
+    return ExactOrderCensus(k_max.value, *_period_counts(inst, k_max))

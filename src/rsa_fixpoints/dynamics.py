@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, compress, cycle, repeat
-from math import gcd, isqrt, lcm
+from itertools import chain, compress, count, cycle, repeat
+from math import gcd, isqrt, lcm, prod
 from operator import add
 
 from . import arith, census
@@ -67,33 +67,21 @@ def iterate_power_map(x: int, inst: RsaInstance, steps: int) -> int:
     return y
 
 
-@lru_cache(maxsize=4096)
-def _primitive_root(p: int) -> int:
-    # Smallest generator of Z_p*; deterministic so enumeration order is
-    # reproducible.
-    checks = [(p - 1) // r for r, _ in arith.factorize(p - 1).factors]
-    g = 2
-    while not all(pow(g, c, p) != 1 for c in checks):
-        g += 1
-    return g
-
-
-def _component_order(x: int, prime: int) -> int | None:
-    xp = x % prime
-    if xp == 0:
-        return None
-    return arith.multiplicative_order(xp, prime)
-
-
 def period_of_point(x: int, inst: RsaInstance) -> PeriodRecord:
-    """Exact period of x under the power map, computed without iterating."""
+    """Exact period of x under the power map, computed without iterating.
+
+    Only pows mod p and mod q: the period is the lcm of o(r, b) =
+    ord_{r**b}(e) over the r**b || either component order.
+    """
     if not 0 <= x < inst.n:
         raise ValueError(f"x must lie in [0, {inst.n}), got {x}")
-    op = _component_order(x, inst.p)
-    oq = _component_order(x, inst.q)
-    L = lcm(op or 1, oq or 1)
-    period = 1 if L == 1 else arith.multiplicative_order(inst.e, L)
-    return PeriodRecord(point=x, period=period, component_orders=(op, oq))
+    orders, sides, _ = census._orders(inst)
+    vs = [arith._order_exponents(x, prime, f.factors) if x % prime else None for prime, f in sides]
+    # Lists, not generators, feed tuple() and lcm(*...): a tuple grown from a
+    # generator of varying length leaves freed blocks that raise peak RSS.
+    comps = tuple([None if v is None else prod(r**b for r, b in v.items()) for v in vs])
+    period = lcm(*[orders[r][b] for v in vs if v for r, b in v.items()])
+    return PeriodRecord(point=x, period=period, component_orders=comps)
 
 
 def analytic_cycle_structure(inst: RsaInstance) -> CycleStructure:
@@ -104,13 +92,20 @@ def analytic_cycle_structure(inst: RsaInstance) -> CycleStructure:
 
 
 @lru_cache(maxsize=128)
-def _residues_by_period(prime: int, e: int, m: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    # The x mod prime with x**(m + 1) = x (m | prime - 1) grouped by their
-    # period under y -> y**e mod prime, ascending: ord_u(e) for x of order
-    # u, and 1 for x = 0.  With h of order m, h**j has order m // gcd(j, m).
-    h = pow(_primitive_root(prime), (prime - 1) // m, prime)
-    orders = arith.divisors(arith.factorize(m))
-    period = {u: arith.multiplicative_order(e, u) if u > 1 else 1 for u in orders}
+def _residues_by_period(inst: RsaInstance, i: int, m: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    # The x mod prime (side i of inst) with x**(m + 1) = x (m | prime - 1)
+    # grouped by their period under y -> y**e mod prime, ascending: x of
+    # order u has period ord_u(e), the lcm of o(r, v_r(u)), and x = 0 has
+    # period 1.  With h of order m, h**j has order m // gcd(j, m).
+    orders, sides, _ = census._orders(inst)
+    prime, f = sides[i]
+    # g is the smallest generator of Z_prime*, so the order is reproducible.
+    g = next(g for g in count(2) if all(pow(g, (prime - 1) // r, prime) != 1 for r, _ in f.factors))
+    h = pow(g, (prime - 1) // m, prime)
+    period = {1: 1}
+    for r, a in f.factors:
+        ups = ((u * r**b, lcm(s, orders[r][b])) for u, s in period.items() for b in range(a + 1))
+        period = {u: s for u, s in ups if m % u == 0}
     by_period: dict[int, list[int]] = {s: [] for s in sorted(set(period.values()))}
     by_period[1].append(0)
     x = 1
@@ -124,10 +119,10 @@ def _period_products(inst: RsaInstance, k: int) -> tuple[list[tuple[list[int], l
     # The residues of exact period k as products A x B (A's disjoint, A mod
     # P, B mod Q), with (P, Q) = (p, q) or (q, p), whichever gives fewer A
     # residues times Q.  x has the lcm of its components' periods.
-    P, Q, e = inst.p, inst.q, inst.e
-    classes_a, classes_b = (
-        _residues_by_period(x, e, census._gcd_pow_minus_one(e, k, x - 1)) for x in (P, Q)
-    )
+    P, Q = inst.p, inst.q
+    orders, sides, _ = census._orders(inst)
+    ms = [census._unit_gcd(orders, f, k) for _, f in sides]
+    classes_a, classes_b = (_residues_by_period(inst, i, m) for i, m in enumerate(ms))
     links = [[lcm(s, t) == k for t, _ in classes_b] for s, _ in classes_a]
     used_a = sum(len(xs) for (_, xs), row in zip(classes_a, links) if any(row))
     used_b = sum(len(xs) for (_, xs), col in zip(classes_b, zip(*links)) if any(col))

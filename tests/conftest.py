@@ -38,6 +38,16 @@ def sample_exponents(lam: int, count: int, seed) -> list[int]:
     return out
 
 
+def mobius(n: int) -> int:
+    """Mobius function: 0 on non-squarefree n, else (-1)**(#prime factors)."""
+    if n < 1:
+        raise ValueError(f"mobius is defined for n >= 1, got {n}")
+    f = arith.factorize(n)
+    if any(a > 1 for _, a in f.factors):
+        return 0
+    return -1 if len(f.factors) % 2 else 1
+
+
 def walk_periods(n: int, e: int) -> list[int]:
     """Exact period of every x in [0, n) by iterating the map, one cycle
     walk per orbit."""

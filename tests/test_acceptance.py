@@ -21,9 +21,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import sample_exponents, semiprime_pairs, walk_periods
+from conftest import mobius, sample_exponents, semiprime_pairs, walk_periods
 from rsa_fixpoints import arith, census, dynamics, oracle
-from rsa_fixpoints.arith import divisors, factorize, mobius
+from rsa_fixpoints.arith import divisors, factorize
 from rsa_fixpoints.census import make_instance
 
 GOLDEN = Path(__file__).parent / "golden"

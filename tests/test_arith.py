@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mobius
 from rsa_fixpoints import arith
 from rsa_fixpoints.arith import (
     Factorization,
@@ -13,7 +14,6 @@ from rsa_fixpoints.arith import (
     euler_phi,
     factorize,
     is_prime,
-    mobius,
     multiplicative_order,
 )
 from rsa_fixpoints.errors import FactoringError

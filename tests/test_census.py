@@ -3,7 +3,7 @@ from math import gcd, lcm, prod
 
 import pytest
 
-from conftest import sample_exponents, semiprime_pairs, walk_periods
+from conftest import mobius, sample_exponents, semiprime_pairs, walk_periods
 from rsa_fixpoints import arith, census, oracle
 from rsa_fixpoints.arith import divisors, euler_phi, factorize
 from rsa_fixpoints.census import (
@@ -185,6 +185,20 @@ def test_exact_quasi_order_matches_brute_histogram():
         assert sum(hist.values()) == coverage
 
 
+def test_order_table_matches_multiplicative_order():
+    # The per-instance table against arith's general-n orders: o(r, b) =
+    # ord_{r**b}(e) for every r**b | lambda, p - 1 and q - 1 factored, and
+    # K = ord_lambda(e) factored.
+    for p, q in semiprime_pairs(3000)[::9]:
+        lam = lcm(p - 1, q - 1)
+        for e in [1, *sample_exponents(lam, 3, seed=f"table:{p}:{q}")]:
+            orders, sides, k_max = census._orders(make_instance(p, q, e))
+            assert sides == ((p, factorize(p - 1)), (q, factorize(q - 1)))
+            for r, a in factorize(lam).factors:
+                assert orders[r] == tuple(arith.multiplicative_order(e, r**b) if b else 1 for b in range(a + 1))
+            assert k_max == factorize(arith.multiplicative_order(e, lam))
+
+
 def test_max_period_examples():
     assert max_period(make_instance(5, 7, 5)) == 2
     assert max_period(make_instance(5, 7, 13)) == 1  # 13 = 1 mod 12
@@ -327,7 +341,7 @@ def _random_instances(seed, count):
 
 def _literal_inversion(cumulative, k):
     # The per-k Mobius sum, written out as the reference.
-    return sum(arith.mobius(k // d) * cumulative(d) for d in divisors(factorize(k)))
+    return sum(mobius(k // d) * cumulative(d) for d in divisors(factorize(k)))
 
 
 def test_full_census_matches_literal_mobius_sums():

@@ -4,9 +4,11 @@ from math import gcd, lcm
 import pytest
 
 from conftest import odd_primes_upto, sample_exponents, semiprime_pairs, walk_periods
-from rsa_fixpoints import census
+from rsa_fixpoints import arith, census, dynamics
+from rsa_fixpoints.arith import divisors, factorize, multiplicative_order
 from rsa_fixpoints.census import RsaInstance, make_instance
 from rsa_fixpoints.dynamics import (
+    PeriodRecord,
     _period_products,
     analytic_cycle_structure,
     enumerate_fixed_points,
@@ -207,3 +209,94 @@ def test_find_nontrivial_budget_fallback():
     m = find_nontrivial_fixed_point(INST, budget=5)  # E_1 = 15 > 5
     assert m == 15  # (0 mod 5, 1 mod 7)
     assert pow(m, 5, 35) == m
+
+
+def _prime_with_known_p_minus_1(rng, bits):
+    # A bits-bit prime p = 2 * B * (primes below 2**16) + 1, B a 20-bit
+    # prime: the reference below factors lcm(ord_p, ord_q) from scratch, and
+    # with these sizes that stays a short rho run on B_p * B_q.
+    small = odd_primes_upto(1 << 16)
+    while True:
+        b = rng.randrange(1 << 19, 1 << 20)
+        m = 2 * b
+        while m.bit_length() < bits - 1:
+            m *= rng.choice((2, 3, 5, 7)) if rng.random() < 0.5 else rng.choice(small)
+        if (m + 1).bit_length() == bits and arith.is_prime(b) and arith.is_prime(m + 1):
+            return m + 1
+
+
+def _big_instances(seed, count, bits=(48, 64)):
+    # count instances with p, q of bits[0] to bits[1] bits; e cycles
+    # through 3, 65537 and a seeded random e.
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        p, q = (_prime_with_known_p_minus_1(rng, rng.randint(*bits)) for _ in range(2))
+        lam = lcm(p - 1, q - 1)
+        e = (3, 65537, rng.randrange(3, lam, 2))[len(out) % 3]
+        if p != q and gcd(e, lam) == 1:
+            out.append(make_instance(p, q, e))
+    return out
+
+
+def _points(rng, inst, count):
+    # 0, eight multiples of p, eight of q, and seeded residues.
+    return (
+        [0]
+        + [inst.p * rng.randrange(1, inst.q) for _ in range(8)]
+        + [inst.q * rng.randrange(1, inst.p) for _ in range(8)]
+        + [rng.randrange(inst.n) for _ in range(count - 17)]
+    )
+
+
+def _reference_period(x, inst):
+    op, oq = (multiplicative_order(x % m, m) if x % m else None for m in (inst.p, inst.q))
+    L = lcm(op or 1, oq or 1)
+    return PeriodRecord(x, multiplicative_order(inst.e, L) if L > 1 else 1, (op, oq)), L
+
+
+def test_period_of_point_matches_reference_at_64_bits():
+    rng = random.Random("period-differential")
+    for inst in _big_instances("period-differential", 6):
+        for x in _points(rng, inst, 100):
+            rec = period_of_point(x, inst)
+            expected, L = _reference_period(x, inst)
+            assert rec == expected, (inst, x)
+            # The period is exact: e**P = 1 mod L, and no P / r is a period.
+            P = rec.period
+            assert pow(inst.e, P, L) == 1 % L
+            for r, _ in factorize(P).factors:
+                assert pow(inst.e, P // r, L) != 1, (inst, x, r)
+        # e = 1 is the identity map: every point has period 1.
+        ident = make_instance(inst.p, inst.q, 1)
+        for x in _points(rng, ident, 20):
+            rec = period_of_point(x, ident)
+            assert rec.period == 1
+            assert rec == _reference_period(x, ident)[0]
+
+
+def test_no_factoring_after_the_order_table(monkeypatch):
+    big = _big_instances("no-factoring", 1, bits=(64, 64))[0]
+    small = make_instance(1201, 1249, 65537)
+    rng = random.Random("no-factoring")
+    points = [rng.randrange(big.n) for _ in range(50)]
+    census._orders(big)
+    census._orders(small)
+    ks = divisors(factorize(census.max_period(small)))
+
+    def run():
+        return (
+            [period_of_point(x, big) for x in points],
+            [(census.max_period(i), census.full_census(i)) for i in (big, small)],
+            [census.cumulative_unit_fixed_count(i, k) for i in (big, small) for k in (1, 2, 6, 12)],
+            [enumerate_fixed_points(small, k, cap=small.n) for k in ks],
+        )
+
+    expected = run()
+    dynamics._residues_by_period.cache_clear()
+
+    def no_factoring(*args, **kwargs):
+        raise AssertionError("factorize called after the order table was built")
+
+    monkeypatch.setattr(arith, "factorize", no_factoring)
+    assert run() == expected
