@@ -218,20 +218,16 @@ def multiplicative_order(a: int, m: int) -> int:
 
 def _order_exponents(a: int, m: int, factors) -> dict[int, int]:
     # {s: v_s(ord_m(a))} for each (s, c) of factors, given that ord_m(a)
-    # divides the product of their s**c.  Halving: a**(one half's product)
-    # has the other half's part of ord_m(a) as its order.  With one (s, c)
-    # left, v counts the s-th powers that take a to 1.
-    a %= m
-    if a == 1:
-        return {s: 0 for s, _ in factors}
-    if len(factors) > 1:
-        lo, hi = factors[: len(factors) // 2], factors[len(factors) // 2 :]
-        left = _order_exponents(pow(a, prod(s**c for s, c in hi), m), m, lo)
-        return left | _order_exponents(pow(a, prod(s**c for s, c in lo), m), m, hi)
-    (s, c), v = factors[0], 1
-    while v < c and (a := pow(a, s, m)) != 1:
-        v += 1
-    return {s: v}
+    # divides their product N: a**(N / s**c) has order s**v, and v counts
+    # the s-th powers that take it to 1.
+    n = prod([s**c for s, c in factors])
+    vs = {}
+    for s, c in factors:
+        y, v = pow(a, n // s**c, m), 0
+        while y != 1:
+            y, v = pow(y, s, m), v + 1
+        vs[s] = v
+    return vs
 
 
 def crt_combine(residues) -> int:
