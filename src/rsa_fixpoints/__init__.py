@@ -25,7 +25,6 @@ from .census import (
     full_census,
     make_instance,
     max_period,
-    per_prime_exact_order_count,
     poly_fixed_count,
     roots_of_unity_count,
 )

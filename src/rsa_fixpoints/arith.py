@@ -171,13 +171,17 @@ def _factorize(n: int, budget: int) -> Factorization:
     return Factorization(tuple(sorted(counts.items())), value)
 
 
-def divisors(f: Factorization) -> list[int]:
-    """All divisors of f.value in increasing order."""
+def _divisor_lattice(f: Factorization) -> list[int]:
+    # The divisors of f.value, the exponent of the last prime varying fastest.
     divs = [1]
     for p, a in f.factors:
         divs = [d * p**i for d in divs for i in range(a + 1)]
-    divs.sort()
     return divs
+
+
+def divisors(f: Factorization) -> list[int]:
+    """All divisors of f.value in increasing order."""
+    return sorted(_divisor_lattice(f))
 
 
 def euler_phi(f: Factorization) -> int:

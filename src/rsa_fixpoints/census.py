@@ -17,10 +17,12 @@ regression-tested against brute force.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from math import gcd, lcm, prod
+from operator import mul, sub
 
 from . import arith
 from .arith import Factorization
@@ -33,7 +35,6 @@ __all__ = [
     "cumulative_unit_fixed_count",
     "exact_order_unit_count",
     "exact_order_all_count",
-    "per_prime_exact_order_count",
     "elements_of_order_count",
     "poly_fixed_count",
     "exact_quasi_order_count",
@@ -127,37 +128,44 @@ def _unit_gcd(orders: dict[int, tuple[int, ...]], f: Factorization, d: int) -> i
     return g
 
 
-def _gcd_pow_minus_one(e: int, k: int, m: int) -> int:
-    # gcd(e**k - 1, m) without forming e**k: gcd(x, m) = gcd(x mod m, m).
-    return gcd((pow(e, k, m) - 1) % m, m)
-
-
-def _invert(f: Factorization, cumulative: dict[int, int]) -> dict[int, int]:
-    # From cumulative[d] = sum of exact(c) over c | d, keyed by each d | f.value
-    # ascending, {d: exact(d)} in the same order: one differencing pass per
-    # prime, walking d down so that h[d // r] is read before this pass changes it.
-    h = dict(cumulative)
-    for r, _ in f.factors:
-        for d in reversed(h):
-            if d % r == 0:
-                h[d] -= h[d // r]
+def _invert(f: Factorization, cumulative: Iterable[int]) -> list[int]:
+    # exact(d) from cumulative(d) = the sum of exact(c) over c | d, for the
+    # d | f.value in arith._divisor_lattice order.  Per prime r**a of stride s,
+    # each d with r | d takes away the old value at d / r, s places back: by
+    # blocks of s * (a + 1) or by strided columns, whichever are fewer.
+    h = list(cumulative)
+    n = s = len(h)
+    for _, a in f.factors:
+        s //= a + 1
+        b = s * (a + 1)
+        if s * a < n // b:
+            for o in range(b - 1, s - 1, -1):
+                h[o::b] = map(sub, h[o::b], h[o - s :: b])
+        else:
+            for i in range(0, n, b):
+                h[i + s : i + b] = map(sub, h[i + s : i + b], h[i : i + b - s])
     return h
 
 
 def _invert_at(k: int, cumulative: Callable[[int], int]) -> int:
-    # exact(k) from the cumulative function, evaluated at each d | k.
+    # exact(k) from the cumulative function, evaluated at each d | k; k is last.
     f = arith.factorize(k)
-    return _invert(f, {d: cumulative(d) for d in arith.divisors(f)})[k]
+    return _invert(f, map(cumulative, arith._divisor_lattice(f)))[-1]
 
 
-def _period_counts(inst: RsaInstance, f: Factorization) -> tuple[dict[int, int], dict[int, int]]:
-    # T_d and E_d at every d | f.value: invert g_p g_q and (g_p + 1)(g_q + 1).
-    orders, ((_, fp), (_, fq)), _ = _orders(inst)
-    g = {d: (_unit_gcd(orders, fp, d), _unit_gcd(orders, fq, d)) for d in arith.divisors(f)}
-    return (
-        _invert(f, {d: gp * gq for d, (gp, gq) in g.items()}),
-        _invert(f, {d: (gp + 1) * (gq + 1) for d, (gp, gq) in g.items()}),
-    )
+def _period_counts(inst: RsaInstance, f: Factorization) -> tuple[list[int], list[int], list[int]]:
+    # The divisors d of f.value in lattice order, with T_d and E_d at each:
+    # inversions of g_p g_q and (g_p + 1)(g_q + 1).  g_x(d) depends on d only
+    # through gcd(d, K_x), K_x = ord_{x-1}(e), so _unit_gcd runs once per value.
+    orders, sides, _ = _orders(inst)
+    divs, gs = arith._divisor_lattice(f), []
+    for _, fx in sides:
+        cs = list(map(gcd, divs, repeat(lcm(*(orders[r][c] for r, c in fx.factors)))))
+        table = {c: _unit_gcd(orders, fx, c) for c in set(cs)}
+        gs.append(list(map(table.__getitem__, cs)))
+    gp, gq = gs
+    units = _invert(f, map(mul, gp, gq))
+    return divs, units, _invert(f, map(mul, map((1).__add__, gp), map((1).__add__, gq)))
 
 
 def _unit_root_count_prime_power(r: int, p: int, a: int) -> int:
@@ -202,8 +210,8 @@ def _period_counts_at(inst: RsaInstance, k: int) -> tuple[int, int]:
         return 0, 0
     # k factored over K's primes, with no search.
     exps = ((r, next(b for b in range(a, -1, -1) if k % r**b == 0)) for r, a in k_max.factors)
-    units, alls = _period_counts(inst, Factorization(tuple([(r, b) for r, b in exps if b]), k))
-    return units[k], alls[k]
+    _, units, alls = _period_counts(inst, Factorization(tuple([(r, b) for r, b in exps if b]), k))
+    return units[-1], alls[-1]
 
 
 def exact_order_unit_count(inst: RsaInstance, k: int) -> int:
@@ -219,11 +227,6 @@ def exact_order_all_count(inst: RsaInstance, k: int) -> int:
     dividing e**d - 1 plus the single zero residue.
     """
     return _period_counts_at(inst, k)[1]
-
-
-def per_prime_exact_order_count(prime: int, e: int, k: int) -> int:
-    """Units mod an odd prime with exact period k under x -> x**e."""
-    return _invert_at(k, lambda d: _gcd_pow_minus_one(e, d, prime - 1))
 
 
 def elements_of_order_count(f: Factorization, r: int) -> int:
@@ -270,4 +273,7 @@ def max_period(inst: RsaInstance) -> int:
 def full_census(inst: RsaInstance) -> ExactOrderCensus:
     """Evaluate the exact-period counts at every divisor of k_max."""
     _, _, k_max = _orders(inst)
-    return ExactOrderCensus(k_max.value, *_period_counts(inst, k_max))
+    divs, units, alls = _period_counts(inst, k_max)
+    order = sorted(range(len(divs)), key=divs.__getitem__)
+    keys, units, alls = (list(map(h.__getitem__, order)) for h in (divs, units, alls))
+    return ExactOrderCensus(k_max.value, dict(zip(keys, units)), dict(zip(keys, alls)))

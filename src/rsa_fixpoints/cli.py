@@ -119,11 +119,13 @@ def cmd_enumerate(inst: census.RsaInstance, args) -> str:
     points = dynamics.enumerate_fixed_points(inst, args.k, cap=args.cap)
     if args.format == "lines":
         return "".join(f"{m}\n" for m in points)
+    if inst.n > reports.JSON_SAFE_INT:  # below that, so is every point
+        points = [reports.encode_int(m) for m in points]
     payload = {
         "instance": reports.instance_to_json_dict(inst),
         "k": reports.encode_int(args.k),
         "count": len(points),
-        "fixed_points": [reports.encode_int(m) for m in points],
+        "fixed_points": points,
     }
     return reports.render_json(payload)
 

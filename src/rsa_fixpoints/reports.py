@@ -10,8 +10,10 @@ in lowest terms, never floats.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import census as census_mod
 from .census import ExactOrderCensus, RsaInstance
@@ -80,10 +82,8 @@ def build_audit_report(
     cen = census_mod.full_census(inst)
     k_max = cen.k_max
     bounds = sorted({*weak_bounds, warn_bound, k_max})
-    weak = {
-        b: Fraction(sum(e_k for k, e_k in cen.all_counts.items() if k <= b), inst.n)
-        for b in bounds
-    }
+    ks, es = list(cen.all_counts), list(cen.all_counts.values())  # ks ascending
+    weak = {b: Fraction(sum(es[: bisect_right(ks, b)]), inst.n) for b in bounds}
     notes: list[str] = []
     if not inst.gcd_e_phi_ok:
         notes.append("gcd(e, phi(n)) != 1; only the weaker gcd(e, lambda(n)) = 1 holds")
@@ -116,12 +116,23 @@ def encode_int(v: int):
     return v if -JSON_SAFE_INT <= v <= JSON_SAFE_INT else str(v)
 
 
-def _enc_fraction(fr: Fraction) -> dict:
-    return {"num": encode_int(fr.numerator), "den": encode_int(fr.denominator)}
+def _json(v, pad: str) -> str:
+    # v as json.dumps(v, indent=2) writes it at the depth of pad: a nonempty
+    # container joined once, with no call for its int items; json.dumps the rest.
+    if not v or not isinstance(v, (dict, list, tuple)):
+        return json.dumps(v)
+    inner = pad + "  "
+    is_dict = isinstance(v, dict)
+    items = [str(x) if type(x) is int else _json(x, inner) for x in (v.values() if is_dict else v)]
+    if is_dict:
+        items = map("{}: {}".format, map(encode_basestring_ascii, v), items)
+    body = inner + (",\n" + inner).join(items) + "\n" + pad
+    return "{\n" + body + "}" if is_dict else "[\n" + body + "]"
 
 
 def render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """``json.dumps(payload, indent=2) + "\\n"``, byte for byte, joined per container."""
+    return _json(payload, "") + "\n"
 
 
 def census_to_json_dict(cen: ExactOrderCensus) -> dict:
@@ -141,15 +152,8 @@ def census_from_json_dict(d: dict) -> ExactOrderCensus:
 
 
 def instance_to_json_dict(inst: RsaInstance) -> dict:
-    return {
-        "p": encode_int(inst.p),
-        "q": encode_int(inst.q),
-        "n": encode_int(inst.n),
-        "e": encode_int(inst.e),
-        "phi": encode_int(inst.phi),
-        "lambda": encode_int(inst.lam),
-        "gcd_e_phi_ok": inst.gcd_e_phi_ok,
-    }
+    fields = {"p": inst.p, "q": inst.q, "n": inst.n, "e": inst.e, "phi": inst.phi, "lambda": inst.lam}
+    return {**{k: encode_int(v) for k, v in fields.items()}, "gcd_e_phi_ok": inst.gcd_e_phi_ok}
 
 
 def audit_to_json_dict(report: AuditReport) -> dict:
@@ -158,7 +162,8 @@ def audit_to_json_dict(report: AuditReport) -> dict:
         "k_max": encode_int(report.k_max),
         "census": census_to_json_dict(report.census),
         "weak_fraction": {
-            str(b): _enc_fraction(fr) for b, fr in sorted(report.weak_fraction.items())
+            str(b): {"num": encode_int(fr.numerator), "den": encode_int(fr.denominator)}
+            for b, fr in sorted(report.weak_fraction.items())
         },
         "min_fixed_points": encode_int(report.min_fixed_points),
         "verdict": report.verdict,
@@ -208,26 +213,21 @@ def render_cycles(cs: CycleStructure, fmt: str) -> str:
 
 def audit_to_table(report: AuditReport) -> str:
     inst = report.instance
+    fields = zip(
+        ("p", "q", "n", "e", "phi", "lambda", "k_max", "min_fixed_points (E_1)"),
+        (inst.p, inst.q, inst.n, inst.e, inst.phi, inst.lam, report.k_max, report.min_fixed_points),
+    )
     lines = [
         "RSA power-map fixed-point audit",
-        f"  p = {inst.p}",
-        f"  q = {inst.q}",
-        f"  n = {inst.n}",
-        f"  e = {inst.e}",
-        f"  phi = {inst.phi}",
-        f"  lambda = {inst.lam}",
-        f"  k_max = {report.k_max}",
-        f"  min_fixed_points (E_1) = {report.min_fixed_points}",
+        *(f"  {name} = {v}" for name, v in fields),
         "",
         _render_census_rows(report.census, "table").rstrip("\n"),
         "",
         "weak fractions (period <= B):",
+        *(f"  B = {b}: {fr}" for b, fr in sorted(report.weak_fraction.items())),
+        f"verdict: {report.verdict}",
+        *(f"  note: {note}" for note in report.notes),
     ]
-    for b, fr in sorted(report.weak_fraction.items()):
-        lines.append(f"  B = {b}: {fr}")
-    lines.append(f"verdict: {report.verdict}")
-    for note in report.notes:
-        lines.append(f"  note: {note}")
     return "\n".join(lines) + "\n"
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 from math import gcd, lcm
 
-from rsa_fixpoints import arith
+from rsa_fixpoints import arith, census
 
 
 def odd_primes_upto(bound: int) -> list[int]:
@@ -46,6 +46,16 @@ def mobius(n: int) -> int:
     if any(a > 1 for _, a in f.factors):
         return 0
     return -1 if len(f.factors) % 2 else 1
+
+
+def _gcd_pow_minus_one(e: int, k: int, m: int) -> int:
+    # gcd(e**k - 1, m) without forming e**k: gcd(x, m) = gcd(x mod m, m).
+    return gcd((pow(e, k, m) - 1) % m, m)
+
+
+def per_prime_exact_order_count(prime: int, e: int, k: int) -> int:
+    """Units mod an odd prime with exact period k under x -> x**e."""
+    return census._invert_at(k, lambda d: _gcd_pow_minus_one(e, d, prime - 1))
 
 
 def walk_periods(n: int, e: int) -> list[int]:

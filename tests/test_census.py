@@ -3,7 +3,13 @@ from math import gcd, lcm, prod
 
 import pytest
 
-from conftest import mobius, sample_exponents, semiprime_pairs, walk_periods
+from conftest import (
+    mobius,
+    per_prime_exact_order_count,
+    sample_exponents,
+    semiprime_pairs,
+    walk_periods,
+)
 from rsa_fixpoints import arith, census, oracle
 from rsa_fixpoints.arith import divisors, euler_phi, factorize
 from rsa_fixpoints.census import (
@@ -15,7 +21,6 @@ from rsa_fixpoints.census import (
     full_census,
     make_instance,
     max_period,
-    per_prime_exact_order_count,
     poly_fixed_count,
     roots_of_unity_count,
 )
@@ -225,6 +230,9 @@ def test_full_census_keys_are_divisors_of_k_max():
     assert cen.k_max == 2
     assert list(cen.all_counts) == divisors(factorize(cen.k_max))
     assert sum(cen.all_counts.values()) == 35
+    identity = full_census(make_instance(5, 7, 1))
+    assert identity.k_max == 1
+    assert list(identity.unit_counts) == list(identity.all_counts) == [1]
 
 
 def test_counts_vanish_beyond_k_max():
@@ -370,11 +378,12 @@ def test_invert_helper_cases(k):
     # c | d is d, so inverting d -> d gives phi, and constants invert to
     # the indicator of d = 1.
     f = factorize(k)
-    divs = divisors(f)
-    assert census._invert(f, {d: d for d in divs}) == {d: euler_phi(factorize(d)) for d in divs}
-    assert census._invert(f, {d: 5 for d in divs}) == {d: 5 if d == 1 else 0 for d in divs}
-    squares = census._invert(f, {c: c * c for c in divs})
-    assert squares == {d: _literal_inversion(lambda c: c * c, d) for d in divs}
+    divs = arith._divisor_lattice(f)
+    assert sorted(divs) == divisors(f) and divs[-1] == k
+    assert census._invert(f, list(divs)) == [euler_phi(factorize(d)) for d in divs]
+    assert census._invert(f, [5] * len(divs)) == [5 if d == 1 else 0 for d in divs]
+    squares = census._invert(f, [c * c for c in divs])
+    assert squares == [_literal_inversion(lambda c: c * c, d) for d in divs]
 
 
 def test_full_census_64_bit_instance():
@@ -385,6 +394,7 @@ def test_full_census_64_bit_instance():
     assert inst.p.bit_length() == inst.q.bit_length() == 64
     cen = full_census(inst)
     assert len(cen.all_counts) >= 10_000
+    assert list(cen.unit_counts) == list(cen.all_counts) == divisors(factorize(cen.k_max))
     assert sum(cen.all_counts.values()) == inst.n
     assert sum(cen.unit_counts.values()) == inst.phi
     for k in cen.all_counts:

@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rsa_fixpoints import reports
 from rsa_fixpoints.census import make_instance
@@ -97,3 +99,21 @@ def test_build_audit_report_rejects_bounds_below_one():
         build_audit_report(inst, weak_bounds=(0, 2))
     with pytest.raises(ValueError, match="got -1"):
         build_audit_report(make_instance(1019, 2063, 65537), warn_fraction=Fraction(-1))
+
+
+# Keys and strings that stress the escaping: quotes, backslashes, control
+# characters and non-ASCII text (one astral-plane character among them).
+_json_text = st.text(st.sampled_from('a"\\/\x00\x08\x1f\x7f\n\t\u00e9\u2028\U0001f600')) | st.text()
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**80), 2**80) | _json_text,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_json_text, inner, max_size=4),
+    max_leaves=40,
+)
+
+
+@given(st.dictionaries(_json_text, _json_values, max_size=6))
+@example({})
+@example({"a": {}, "b": [], "c": [[], {}], "d": {"e": [True, False, None, -1, 2**53 + 1]}})
+@settings(max_examples=400, deadline=None)
+def test_render_json_matches_json_dumps(payload):
+    assert reports.render_json(payload) == json.dumps(payload, indent=2) + "\n"
