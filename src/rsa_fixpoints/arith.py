@@ -123,26 +123,17 @@ def _brent_rho(n: int, budget: int) -> tuple[int | None, int]:
     return None, 0
 
 
-def factorize(n: int, *, budget: int | None = None) -> Factorization:
-    """Canonical factorization of n >= 1.
+@lru_cache(maxsize=65536)
+def factorize(n: int, *, budget: int = DEFAULT_FACTOR_BUDGET) -> Factorization:
+    """Canonical factorization of n >= 1, memoized.
 
     Trial division below 2**16, then Brent's rho with deterministic
     primality testing.  Raises FactoringError (carrying the partial
-    result) if the step budget is exhausted first.
+    result) if the step budget is exhausted first; an error is not
+    memoized, so a later call with a larger budget starts afresh.
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}; need n >= 1")
-    if budget is None:
-        return _factorize_cached(n)
-    return _factorize(n, budget)
-
-
-@lru_cache(maxsize=65536)
-def _factorize_cached(n: int) -> Factorization:
-    return _factorize(n, DEFAULT_FACTOR_BUDGET)
-
-
-def _factorize(n: int, budget: int) -> Factorization:
     value = n
     counts: dict[int, int] = {}
     for p in _small_primes():
@@ -164,9 +155,8 @@ def _factorize(n: int, budget: int) -> Factorization:
         d, budget = _brent_rho(m, budget)
         if d is None:
             remaining = m * prod(stack)
-            partial_pairs = tuple(sorted(counts.items()))
-            partial_value = prod(p**a for p, a in partial_pairs)
-            raise FactoringError(value, Factorization(partial_pairs, partial_value), remaining)
+            partial = Factorization(tuple(sorted(counts.items())), value // remaining)
+            raise FactoringError(value, partial, remaining)
         stack += [d, m // d]
     return Factorization(tuple(sorted(counts.items())), value)
 

@@ -68,25 +68,13 @@ def _resolve_instance(args) -> census.RsaInstance:
         return census.make_instance(args.p, args.q, args.e)
     if args.p is not None or args.q is not None:
         raise ValueError("--n cannot be combined with --p/--q")
+    if n > getattr(args, "limit", n):  # refuse a scan before spending a rho budget on n
+        raise LimitExceededError(n, args.limit)
     f = arith.factorize(n, budget=args.factor_budget)
     if len(f.factors) != 2 or any(a != 1 for _, a in f.factors) or f.factors[0][0] == 2:
         raise ValueError(f"n = {n} is not a product of two distinct odd primes: {f.factors}")
     (p, _), (q, _) = f.factors
     return census.make_instance(p, q, args.e)
-
-
-def _add_instance_flags(sub, with_n: bool = False) -> None:
-    sub.add_argument("--p", type=_int_arg, required=not with_n, help="first odd prime")
-    sub.add_argument("--q", type=_int_arg, required=not with_n, help="second odd prime")
-    sub.add_argument("--e", type=_int_arg, required=True, help="exponent of the power map")
-    if with_n:
-        sub.add_argument("--n", type=_int_arg, help="modulus to factor instead of --p/--q")
-        sub.add_argument(
-            "--factor-budget",
-            type=_int_arg,
-            default=arith.DEFAULT_FACTOR_BUDGET,
-            help="rho step budget when factoring --n",
-        )
 
 
 def cmd_census(inst: census.RsaInstance, args) -> str:
@@ -155,14 +143,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_census = sub.add_parser("census", help="closed-form per-period counts")
-    _add_instance_flags(p_census)
-    p_census.add_argument("--format", choices=("json", "csv", "table"), default="json")
-    p_census.set_defaults(handler=cmd_census)
+    def command(name, handler, help, formats=("json", "csv", "table"), with_n=False):
+        cmd = sub.add_parser(name, help=help)
+        cmd.add_argument("--p", type=_int_arg, required=not with_n, help="first odd prime")
+        cmd.add_argument("--q", type=_int_arg, required=not with_n, help="second odd prime")
+        cmd.add_argument("--e", type=_int_arg, required=True, help="exponent of the power map")
+        if with_n:
+            cmd.add_argument("--n", type=_int_arg, help="modulus to factor instead of --p/--q")
+            cmd.add_argument(
+                "--factor-budget",
+                type=_int_arg,
+                default=arith.DEFAULT_FACTOR_BUDGET,
+                help="rho step budget when factoring --n",
+            )
+        if formats:
+            cmd.add_argument("--format", choices=formats, default="json")
+        cmd.set_defaults(handler=handler)
+        return cmd
 
-    p_audit = sub.add_parser("audit", help="exponent-safety audit report")
-    _add_instance_flags(p_audit, with_n=True)
-    p_audit.add_argument("--format", choices=("json", "csv", "table"), default="json")
+    command("census", cmd_census, "closed-form per-period counts")
+
+    p_audit = command("audit", cmd_audit, "exponent-safety audit report", with_n=True)
     p_audit.add_argument(
         "--weak-bounds",
         type=_bounds_arg,
@@ -186,15 +187,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="WARN when k_max is below this floor (default 1 = disabled)",
     )
-    p_audit.set_defaults(handler=cmd_audit)
 
-    p_cycles = sub.add_parser("cycles", help="analytic cycle structure")
-    _add_instance_flags(p_cycles)
-    p_cycles.add_argument("--format", choices=("json", "csv", "table"), default="json")
-    p_cycles.set_defaults(handler=cmd_cycles)
+    command("cycles", cmd_cycles, "analytic cycle structure")
 
-    p_enum = sub.add_parser("enumerate", help="list all points of exact period k")
-    _add_instance_flags(p_enum)
+    p_enum = command(
+        "enumerate", cmd_enumerate, "list all points of exact period k", formats=("json", "lines")
+    )
     p_enum.add_argument("--k", type=_int_arg, required=True, help="exact period")
     p_enum.add_argument(
         "--cap",
@@ -202,26 +200,19 @@ def build_parser() -> argparse.ArgumentParser:
         default=dynamics.DEFAULT_ENUMERATION_CAP,
         help="refuse to enumerate more than this many points",
     )
-    p_enum.add_argument("--format", choices=("json", "lines"), default="json")
-    p_enum.set_defaults(handler=cmd_enumerate)
 
-    p_oracle = sub.add_parser("oracle", help="brute-force census for cross-checking")
-    _add_instance_flags(p_oracle, with_n=True)
+    p_oracle = command("oracle", cmd_oracle, "brute-force census for cross-checking", with_n=True)
     p_oracle.add_argument(
         "--limit",
         type=_int_arg,
         default=oracle.DEFAULT_SCAN_LIMIT,
         help="largest modulus the scan will accept",
     )
-    p_oracle.add_argument("--format", choices=("json", "csv", "table"), default="json")
-    p_oracle.set_defaults(handler=cmd_oracle)
 
-    p_demo = sub.add_parser(
-        "factor-demo", help="recover a factor of n from a nontrivial fixed point"
+    p_demo = command(
+        "factor-demo", cmd_factor_demo, "recover a factor of n from a nontrivial fixed point", ()
     )
-    _add_instance_flags(p_demo)
     p_demo.add_argument("--cap", type=_int_arg, default=dynamics.DEFAULT_ENUMERATION_CAP)
-    p_demo.set_defaults(handler=cmd_factor_demo)
 
     return parser
 

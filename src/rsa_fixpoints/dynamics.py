@@ -49,7 +49,7 @@ class PeriodRecord:
 
 @dataclass(frozen=True)
 class CycleStructure:
-    """Map from cycle length k to (point count, cycle count) for Z_n."""
+    """Map from cycle length k, ascending, to (point count, cycle count) for Z_n."""
 
     entries: dict[int, tuple[int, int]]
     n: int

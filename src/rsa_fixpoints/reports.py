@@ -46,8 +46,8 @@ class AuditReport:
     """Exponent-safety audit: census plus weak-fraction metrics.
 
     ``weak_fraction[B]`` is the exact fraction of residues whose period
-    is at most B; ``min_fixed_points`` is E_1.  Verdict is one of OK,
-    WARN, DEGENERATE.
+    is at most B, keyed by B ascending; ``min_fixed_points`` is E_1.
+    Verdict is one of OK, WARN, DEGENERATE.
     """
 
     instance: RsaInstance
@@ -138,8 +138,8 @@ def render_json(payload: dict) -> str:
 def census_to_json_dict(cen: ExactOrderCensus) -> dict:
     return {
         "k_max": encode_int(cen.k_max),
-        "unit_counts": {str(k): encode_int(v) for k, v in sorted(cen.unit_counts.items())},
-        "all_counts": {str(k): encode_int(v) for k, v in sorted(cen.all_counts.items())},
+        "unit_counts": {str(k): encode_int(v) for k, v in cen.unit_counts.items()},
+        "all_counts": {str(k): encode_int(v) for k, v in cen.all_counts.items()},
     }
 
 
@@ -163,7 +163,7 @@ def audit_to_json_dict(report: AuditReport) -> dict:
         "census": census_to_json_dict(report.census),
         "weak_fraction": {
             str(b): {"num": encode_int(fr.numerator), "den": encode_int(fr.denominator)}
-            for b, fr in sorted(report.weak_fraction.items())
+            for b, fr in report.weak_fraction.items()
         },
         "min_fixed_points": encode_int(report.min_fixed_points),
         "verdict": report.verdict,
@@ -183,15 +183,11 @@ def _render_rows(fmt: str, title: str, header: tuple[str, ...], rows: list[tuple
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def _render_census_rows(cen: ExactOrderCensus, fmt: str) -> str:
-    rows = [(k, cen.unit_counts.get(k, 0), e_k) for k, e_k in sorted(cen.all_counts.items())]
-    return _render_rows(fmt, f"k_max = {cen.k_max}", ("k", "T_k", "E_k"), rows)
-
-
 def render_census(cen: ExactOrderCensus, fmt: str) -> str:
     if fmt == "json":
         return render_json(census_to_json_dict(cen))
-    return _render_census_rows(cen, fmt)
+    rows = [(k, cen.unit_counts.get(k, 0), e_k) for k, e_k in cen.all_counts.items()]
+    return _render_rows(fmt, f"k_max = {cen.k_max}", ("k", "T_k", "E_k"), rows)
 
 
 def cycles_to_json_dict(cs: CycleStructure) -> dict:
@@ -199,7 +195,7 @@ def cycles_to_json_dict(cs: CycleStructure) -> dict:
         "n": encode_int(cs.n),
         "entries": {
             str(k): {"points": encode_int(pts), "cycles": encode_int(cyc)}
-            for k, (pts, cyc) in sorted(cs.entries.items())
+            for k, (pts, cyc) in cs.entries.items()
         },
     }
 
@@ -207,7 +203,7 @@ def cycles_to_json_dict(cs: CycleStructure) -> dict:
 def render_cycles(cs: CycleStructure, fmt: str) -> str:
     if fmt == "json":
         return render_json(cycles_to_json_dict(cs))
-    rows = [(k, pts, cyc) for k, (pts, cyc) in sorted(cs.entries.items())]
+    rows = [(k, pts, cyc) for k, (pts, cyc) in cs.entries.items()]
     return _render_rows(fmt, f"n = {cs.n}", ("k", "points", "cycles"), rows)
 
 
@@ -221,10 +217,10 @@ def audit_to_table(report: AuditReport) -> str:
         "RSA power-map fixed-point audit",
         *(f"  {name} = {v}" for name, v in fields),
         "",
-        _render_census_rows(report.census, "table").rstrip("\n"),
+        render_census(report.census, "table").rstrip("\n"),
         "",
         "weak fractions (period <= B):",
-        *(f"  B = {b}: {fr}" for b, fr in sorted(report.weak_fraction.items())),
+        *(f"  B = {b}: {fr}" for b, fr in report.weak_fraction.items()),
         f"verdict: {report.verdict}",
         *(f"  note: {note}" for note in report.notes),
     ]
@@ -240,4 +236,4 @@ def render_report(report: AuditReport, fmt: str) -> str:
         return render_json(audit_to_json_dict(report))
     if fmt == "table":
         return audit_to_table(report)
-    return _render_census_rows(report.census, fmt)
+    return render_census(report.census, fmt)

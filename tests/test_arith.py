@@ -59,6 +59,21 @@ def test_factorize_budget_exhaustion_carries_partial():
     assert err.partial.value * err.remaining == 4 * a * b
 
 
+def test_factorize_memo_keeps_results_not_errors():
+    # The memo on factorize is what perfbench's cache_hit_ratio reads.
+    assert callable(arith.factorize.cache_info)
+    n = 1_000_000_007 * 998_244_353
+    for _ in range(2):  # the second call is not answered from the memo
+        with pytest.raises(FactoringError):
+            factorize(n, budget=10)
+    expected = Factorization(((998_244_353, 1), (1_000_000_007, 1)), n)
+    assert factorize(n) == expected
+    assert factorize(n, budget=10**6) == expected
+    hits = arith.factorize.cache_info().hits
+    assert factorize(n) == expected
+    assert arith.factorize.cache_info().hits == hits + 1
+
+
 def test_is_prime_small_and_carmichael():
     primes_below_100 = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
                         47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97}

@@ -3,8 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from rsa_fixpoints import reports
-from rsa_fixpoints.cli import main
+from rsa_fixpoints import arith, cli, reports
+from rsa_fixpoints.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -123,6 +123,20 @@ def test_exit_code_cap_and_limit():
         assert result.stdout == ""
 
 
+def test_oracle_refuses_n_above_limit_before_factoring(monkeypatch, capsys):
+    def no_factoring(*args, **kwargs):
+        raise AssertionError("factorize called for an n above the scan limit")
+
+    monkeypatch.setattr(arith, "factorize", no_factoring)
+    # Above the limit: a 150-bit semiprime the default rho budget cannot
+    # split, a non-semiprime, and 36 against --limit 35.
+    for n, limit in (((2**61 - 1) * (2**89 - 1), ()), (2**40, ()), (36, ("--limit", "35"))):
+        assert main(["oracle", "--n", str(n), "--e", "65537", *limit]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and "scan limit" in err
+
+
 def test_audit_via_n_factors_first():
     direct = run_cli("audit", "--p", "5", "--q", "7", "--e", "5")
     via_n = run_cli("audit", "--n", "35", "--e", "5")
@@ -228,3 +242,63 @@ def test_main_callable_directly(capsys):
     code = main(["census", "--p", "5", "--q", "7", "--e", "5", "--format", "csv"])
     assert code == 0
     assert capsys.readouterr().out == "k,T_k,E_k\n1,8,15\n2,16,20\n"
+
+
+_FORMATS = ("json", "csv", "table")
+# Each subcommand's shortest argv and every value it parses to, defaults included.
+_PARSED = {
+    "census": (
+        ["--p", "5", "--q", "7", "--e", "5"],
+        {"p": 5, "q": 7, "e": 5, "format": "json"},
+        cli.cmd_census,
+        _FORMATS,
+    ),
+    "audit": (
+        ["--p", "5", "--q", "7", "--e", "5"],
+        {
+            "p": 5, "q": 7, "e": 5, "n": None, "factor_budget": 1 << 22, "format": "json",
+            "weak_bounds": (1, 2), "warn_bound": 2, "warn_fraction": None, "min_kmax": 1,
+        },
+        cli.cmd_audit,
+        _FORMATS,
+    ),
+    "cycles": (
+        ["--p", "5", "--q", "7", "--e", "5"],
+        {"p": 5, "q": 7, "e": 5, "format": "json"},
+        cli.cmd_cycles,
+        _FORMATS,
+    ),
+    "enumerate": (
+        ["--p", "5", "--q", "7", "--e", "5", "--k", "1"],
+        {"p": 5, "q": 7, "e": 5, "format": "json", "k": 1, "cap": 1_000_000},
+        cli.cmd_enumerate,
+        ("json", "lines"),
+    ),
+    "oracle": (
+        ["--n", "35", "--e", "5"],
+        {
+            "p": None, "q": None, "e": 5, "n": 35, "factor_budget": 1 << 22, "format": "json",
+            "limit": 100_000,
+        },
+        cli.cmd_oracle,
+        _FORMATS,
+    ),
+    "factor-demo": (
+        ["--p", "5", "--q", "7", "--e", "5"],
+        {"p": 5, "q": 7, "e": 5, "cap": 1_000_000},
+        cli.cmd_factor_demo,
+        None,
+    ),
+}
+
+
+def test_parser_defaults_and_formats_per_subcommand():
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if a.dest == "command")
+    assert list(subparsers.choices) == list(_PARSED)
+    for name, (argv, expected, handler, formats) in _PARSED.items():
+        parsed = vars(parser.parse_args([name, *argv]))
+        assert parsed.pop("handler") is handler, name
+        assert parsed == {"command": name, **expected}, name
+        actions = subparsers.choices[name]._actions
+        assert next((a.choices for a in actions if a.dest == "format"), None) == formats, name

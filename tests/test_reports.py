@@ -6,8 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rsa_fixpoints import reports
-from rsa_fixpoints.census import make_instance
-from rsa_fixpoints.reports import build_audit_report, encode_int, render_report
+from rsa_fixpoints.census import ExactOrderCensus, make_instance
+from rsa_fixpoints.oracle import brute_power_map_census
+from rsa_fixpoints.reports import build_audit_report, encode_int, render_census, render_report
 
 
 def test_encode_int_threshold():
@@ -75,6 +76,29 @@ def test_csv_rows_ascending():
     ks = [int(line.split(",")[0]) for line in lines[1:]]
     assert ks == sorted(ks)
     assert sum(int(line.split(",")[2]) for line in lines[1:]) == 11 * 71
+
+
+def test_oracle_census_renders_rows_ascending():
+    # The oracle keys only the periods it observed, ascending, and the
+    # renderers keep that order.  Every period of a non-unit (0, b) is also
+    # that of the unit (1, b), so the oracle's unit keys are its period keys;
+    # the census with its last unit count dropped stands for one read from
+    # JSON with a key missing.
+    for p, q, e in ((5, 7, 5), (11, 71, 17), (13, 17, 5), (23, 29, 9), (101, 103, 7)):
+        cen = brute_power_map_census(make_instance(p, q, e))
+        k_last = max(cen.all_counts)
+        sparse = ExactOrderCensus(
+            cen.k_max, {k: t for k, t in cen.unit_counts.items() if k != k_last}, cen.all_counts
+        )
+        for c in (cen, sparse):
+            rows = [(k, c.unit_counts.get(k, 0), e_k) for k, e_k in sorted(c.all_counts.items())]
+            csv = render_census(c, "csv").splitlines()
+            assert csv[0] == "k,T_k,E_k"
+            assert [tuple(map(int, line.split(","))) for line in csv[1:]] == rows
+            table = render_census(c, "table").splitlines()
+            assert table[0] == f"k_max = {cen.k_max}" and table[1].split() == ["k", "T_k", "E_k"]
+            assert [tuple(map(int, line.split())) for line in table[2:]] == rows
+        assert render_census(sparse, "csv").endswith(f"\n{k_last},0,{cen.all_counts[k_last]}\n")
 
 
 def test_render_report_rejects_unknown_format():
