@@ -6,13 +6,11 @@ enumeration, brute-force oracles, and an exponent-safety audit.
 
 from .arith import (
     Factorization,
-    carmichael_lambda,
     crt_combine,
     divisors,
     euler_phi,
     factorize,
     is_prime,
-    multiplicative_order,
 )
 from .census import (
     ExactOrderCensus,

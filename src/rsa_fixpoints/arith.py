@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, prod
 
 from .errors import FactoringError
 
@@ -20,8 +20,6 @@ __all__ = [
     "factorize",
     "divisors",
     "euler_phi",
-    "carmichael_lambda",
-    "multiplicative_order",
     "crt_combine",
     "DEFAULT_FACTOR_BUDGET",
 ]
@@ -179,47 +177,33 @@ def euler_phi(f: Factorization) -> int:
     return prod(p ** (a - 1) * (p - 1) for p, a in f.factors)
 
 
-def carmichael_lambda(f: Factorization) -> int:
-    """Exponent of the unit group modulo f.value.
-
-    lambda(p**a) = phi(p**a) for odd p and for 2 and 4; lambda(2**a) =
-    2**(a-2) for a >= 3 (the unit group splits off a C2 factor there).
-    """
-    result = 1
-    for p, a in f.factors:
-        if p == 2 and a >= 3:
-            part = 1 << (a - 2)
-        else:
-            part = p ** (a - 1) * (p - 1)
-        result = lcm(result, part)
-    return result
-
-
-def multiplicative_order(a: int, m: int) -> int:
-    """Smallest d >= 1 with a**d = 1 (mod m), for gcd(a, m) = 1.
-
-    Starts from lambda(m) and trims prime factors, so cost is a few
-    modular powers rather than a linear scan.
-    """
-    if m < 2:
-        raise ValueError(f"modulus must be >= 2, got {m}")
-    a %= m
-    if gcd(a, m) != 1:
-        raise ValueError(f"{a} is not a unit modulo {m}")
-    lam = carmichael_lambda(factorize(m))
-    return prod(s**v for s, v in _order_exponents(a, m, factorize(lam).factors).items())
-
-
 def _order_exponents(a: int, m: int, factors) -> dict[int, int]:
     # {s: v_s(ord_m(a))} for each (s, c) of factors, given that ord_m(a)
-    # divides their product N: a**(N / s**c) has order s**v, and v counts
-    # the s-th powers that take it to 1.
-    n = prod([s**c for s, c in factors])
-    vs = {}
-    for s, c in factors:
-        y, v = pow(a, n // s**c, m), 0
-        while y != 1:
-            y, v = pow(y, s, m), v + 1
+    # divides their product N.  A product tree on a work list: an item
+    # (y, lo, hi) holds y = a**(N / Q), Q the product of s**c over
+    # factors[lo:hi], so the order of y divides Q.  A range splits at its
+    # midpoint, each half raising y to the other half's product, and a y
+    # of 1 leaves v = 0 on its whole range.  At a leaf y has order s**v,
+    # v >= 1: count the s-th powers to 1, and after c - 1 of them v = c.
+    qs = [s**c for s, c in factors]
+    vs = dict.fromkeys([s for s, _ in factors], 0)
+    work = [(a % m, 0, len(qs))]
+    while work:
+        y, lo, hi = work.pop()
+        if y == 1:
+            continue
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            work.append((pow(y, prod(qs[mid:hi]), m), lo, mid))
+            work.append((pow(y, prod(qs[lo:mid]), m), mid, hi))
+            continue
+        s, c = factors[lo]
+        v = 1
+        while v < c:
+            y = pow(y, s, m)
+            if y == 1:
+                break
+            v += 1
         vs[s] = v
     return vs
 

@@ -102,9 +102,9 @@ def make_instance(p: int, q: int, e: int) -> RsaInstance:
 def _orders(inst: RsaInstance) -> tuple[dict[int, tuple[int, ...]], tuple, Factorization]:
     # The factored-order table, the one place an instance's numbers are
     # factored: o(r, b) = ord_{r**b}(e) at orders[r][b] for each r**b | lambda
-    # (1 at b = 0), trimmed from r**(b-1) * (r - 1); (x, x - 1 factored) for
-    # x = p, q; and K = lcm of o(r, v_r(lambda)), factored.  The sort puts the
-    # larger exponent of a prime of both p - 1 and q - 1 last, so it wins.
+    # (1 at b = 0), over the primes of r**(b-1) * (r - 1); (x, x - 1 factored)
+    # for x = p, q; and K = lcm of o(r, v_r(lambda)), factored.  The sort puts
+    # the larger exponent of a prime of both p - 1 and q - 1 last, so it wins.
     sides = tuple((x, arith.factorize(x - 1)) for x in (inst.p, inst.q))
     orders, k_exps = {}, {}
     for r, a in dict(sorted(sides[0][1].factors + sides[1][1].factors)).items():

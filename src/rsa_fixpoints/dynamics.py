@@ -70,8 +70,10 @@ def iterate_power_map(x: int, inst: RsaInstance, steps: int) -> int:
 def period_of_point(x: int, inst: RsaInstance) -> PeriodRecord:
     """Exact period of x under the power map, computed without iterating.
 
-    Only pows mod p and mod q: the period is the lcm of o(r, b) =
-    ord_{r**b}(e) over the r**b || either component order.
+    Only pows mod p and mod q: each component order comes from a product
+    tree over the primes of p - 1 or q - 1, about log2(omega) levels of
+    full-size pows, and the period is the lcm of o(r, b) = ord_{r**b}(e)
+    over the r**b || either component order.
     """
     if not 0 <= x < inst.n:
         raise ValueError(f"x must lie in [0, {inst.n}), got {x}")

@@ -136,10 +136,19 @@ def render_json(payload: dict) -> str:
 
 
 def census_to_json_dict(cen: ExactOrderCensus) -> dict:
+    # Counts are >= 0 and T_k <= E_k <= n, so the largest E_k decides
+    # whether any count needs encode_int; most censuses need no call.
+    wide = max(cen.all_counts.values(), default=0) > JSON_SAFE_INT
+
+    def counts(m: dict[int, int]) -> dict:
+        if wide:
+            return {str(k): encode_int(v) for k, v in m.items()}
+        return {str(k): v for k, v in m.items()}
+
     return {
         "k_max": encode_int(cen.k_max),
-        "unit_counts": {str(k): encode_int(v) for k, v in cen.unit_counts.items()},
-        "all_counts": {str(k): encode_int(v) for k, v in cen.all_counts.items()},
+        "unit_counts": counts(cen.unit_counts),
+        "all_counts": counts(cen.all_counts),
     }
 
 

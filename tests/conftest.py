@@ -1,5 +1,6 @@
-"""Shared helpers: instance grids, deterministic exponent sampling, and
-the brute-force period walk used as ground truth."""
+"""Shared helpers: instance grids, deterministic exponent sampling, the
+classic order search, and the brute-force period walk used as ground
+truth."""
 
 from __future__ import annotations
 
@@ -46,6 +47,37 @@ def mobius(n: int) -> int:
     if any(a > 1 for _, a in f.factors):
         return 0
     return -1 if len(f.factors) % 2 else 1
+
+
+def carmichael_lambda(f: arith.Factorization) -> int:
+    """Exponent of the unit group modulo f.value.
+
+    lambda(p**a) = phi(p**a) for odd p and for 2 and 4; lambda(2**a) =
+    2**(a-2) for a >= 3 (the unit group splits off a C2 factor there).
+    """
+    result = 1
+    for p, a in f.factors:
+        part = 1 << (a - 2) if p == 2 and a >= 3 else p ** (a - 1) * (p - 1)
+        result = lcm(result, part)
+    return result
+
+
+def multiplicative_order(a: int, m: int) -> int:
+    """Smallest d >= 1 with a**d = 1 (mod m), for gcd(a, m) = 1.
+
+    The classic search, kept apart from the library's order kernel: start
+    from lambda(m) and divide out each prime s while a**(d/s) = 1.
+    """
+    if m < 2:
+        raise ValueError(f"modulus must be >= 2, got {m}")
+    a %= m
+    if gcd(a, m) != 1:
+        raise ValueError(f"{a} is not a unit modulo {m}")
+    d = carmichael_lambda(arith.factorize(m))
+    for s, _ in arith.factorize(d).factors:
+        while d % s == 0 and pow(a, d // s, m) == 1:
+            d //= s
+    return d
 
 
 def _gcd_pow_minus_one(e: int, k: int, m: int) -> int:

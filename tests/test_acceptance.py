@@ -21,8 +21,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import mobius, sample_exponents, semiprime_pairs, walk_periods
-from rsa_fixpoints import arith, census, dynamics, oracle
+from conftest import carmichael_lambda, mobius, sample_exponents, semiprime_pairs, walk_periods
+from rsa_fixpoints import census, dynamics, oracle
 from rsa_fixpoints.arith import divisors, factorize
 from rsa_fixpoints.census import make_instance
 
@@ -193,7 +193,7 @@ def test_criterion_6_element_order_census():
     checked = 0
     for n in range(2, 513):
         f = factorize(n)
-        lam = arith.carmichael_lambda(f)
+        lam = carmichael_lambda(f)
         hist = oracle.brute_element_orders(n)
         for r in range(1, lam + 1):
             assert census.elements_of_order_count(f, r) == hist.get(r, 0), (n, r)
@@ -227,7 +227,7 @@ def test_criterion_7_quasi_order_census():
     checked = 0
     for n in range(2, 513):
         f = factorize(n)
-        lam = arith.carmichael_lambda(f)
+        lam = carmichael_lambda(f)
         hist = oracle.brute_poly_fixed(n, 2)[1]
         for r in range(2, lam + 2):
             assert census.exact_quasi_order_count(f, r) == hist.get(r, 0), (n, r)

@@ -1,20 +1,18 @@
 from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import mobius
+from conftest import carmichael_lambda, mobius, multiplicative_order
 from rsa_fixpoints import arith
 from rsa_fixpoints.arith import (
     Factorization,
-    carmichael_lambda,
     crt_combine,
     divisors,
     euler_phi,
     factorize,
     is_prime,
-    multiplicative_order,
 )
 from rsa_fixpoints.errors import FactoringError
 
@@ -177,6 +175,38 @@ def test_multiplicative_order_is_minimal():
             d = multiplicative_order(a, m)
             assert pow(a, d, m) == 1
             assert all(pow(a, i, m) != 1 for i in range(1, d))
+
+
+@st.composite
+def _order_cases(draw):
+    # (a, m, factors) with ord_m(a) dividing the product N of the factors:
+    # lambda(m)'s primes at raised exponents, extra primes at exponent 0 to
+    # 2, in any order, and a unit a reduced or not.
+    m = draw(st.integers(2, 10**5))
+    unit = draw(st.integers(1, max(1, m - 1)).filter(lambda u: gcd(u, m) == 1))
+    a = unit + m * draw(st.integers(0, 3))
+    exps = {s: c + draw(st.integers(0, 2)) for s, c in factorize(carmichael_lambda(factorize(m))).factors}
+    for s in draw(st.lists(st.sampled_from((2, 3, 5, 7, 11, 101)), unique=True, max_size=3)):
+        exps.setdefault(s, draw(st.integers(0, 2)))
+    return a, m, tuple(draw(st.permutations(list(exps.items()))))
+
+
+@given(_order_cases())
+@example((1, 97, ((2, 5), (3, 1))))  # a = 1
+@example((3 + 2 * 1024, 1024, ((2, 8),)))  # 2**k, unreduced a
+@example((5, 7, ((7, 0), (2, 1), (3, 1))))  # the (r, b - 1) entry of the order table at b = 1
+@settings(max_examples=200, deadline=None)
+def test_order_exponents_match_brute_force_order(case):
+    a, m, factors = case
+    d, y = 1, a % m
+    while y != 1:
+        d, y = d + 1, y * a % m
+    want = {}
+    for s, _ in factors:
+        want[s] = 0
+        while d % s**(want[s] + 1) == 0:
+            want[s] += 1
+    assert arith._order_exponents(a, m, factors) == want
 
 
 def test_crt_combine_examples():

@@ -4,7 +4,9 @@ from math import gcd, lcm, prod
 import pytest
 
 from conftest import (
+    carmichael_lambda,
     mobius,
+    multiplicative_order,
     per_prime_exact_order_count,
     sample_exponents,
     semiprime_pairs,
@@ -67,7 +69,7 @@ def test_roots_of_unity_two_power_regression():
 def test_roots_of_unity_matches_brute_scan():
     for n in range(2, 200):
         f = factorize(n)
-        lam = arith.carmichael_lambda(f)
+        lam = carmichael_lambda(f)
         for r in range(1, 2 * lam + 2):
             assert roots_of_unity_count(r, f) == oracle.brute_roots_of_unity(r, n), (n, r)
 
@@ -77,7 +79,7 @@ def test_roots_of_unity_partition_by_exact_order_to_512():
     # order histogram over divisors of r
     for n in range(2, 513):
         f = factorize(n)
-        lam = arith.carmichael_lambda(f)
+        lam = carmichael_lambda(f)
         hist = oracle.brute_element_orders(n)
         for r in range(1, lam + 2):
             expected = sum(hist.get(d, 0) for d in divisors(factorize(r)))
@@ -89,7 +91,7 @@ def test_poly_fixed_partition_by_quasi_order_to_512():
     # sum of the brute quasi-order histogram over L | d-1
     for n in range(2, 513):
         f = factorize(n)
-        lam = arith.carmichael_lambda(f)
+        lam = carmichael_lambda(f)
         hist = oracle.brute_poly_fixed(n, 2)[1]
         for d in range(2, lam + 3):
             expected = sum(hist.get(L + 1, 0) for L in divisors(factorize(d - 1)))
@@ -147,7 +149,7 @@ def test_elements_of_order_examples():
 def test_elements_of_order_matches_brute_orders():
     for n in range(2, 200):
         f = factorize(n)
-        lam = arith.carmichael_lambda(f)
+        lam = carmichael_lambda(f)
         hist = oracle.brute_element_orders(n)
         for r in range(1, lam + 1):
             assert elements_of_order_count(f, r) == hist.get(r, 0), (n, r)
@@ -163,7 +165,7 @@ def test_poly_fixed_examples():
 def test_poly_fixed_matches_brute_scan():
     for n in range(2, 150):
         f = factorize(n)
-        lam = arith.carmichael_lambda(f)
+        lam = carmichael_lambda(f)
         for d in range(1, lam + 2):
             assert poly_fixed_count(d, f) == oracle.brute_poly_fixed(n, d)[0], (n, d)
 
@@ -180,7 +182,7 @@ def test_exact_quasi_order_examples():
 def test_exact_quasi_order_matches_brute_histogram():
     for n in range(2, 150):
         f = factorize(n)
-        lam = arith.carmichael_lambda(f)
+        lam = carmichael_lambda(f)
         hist = oracle.brute_poly_fixed(n, 2)[1]
         for r in range(2, lam + 2):
             assert exact_quasi_order_count(f, r) == hist.get(r, 0), (n, r)
@@ -191,7 +193,7 @@ def test_exact_quasi_order_matches_brute_histogram():
 
 
 def test_order_table_matches_multiplicative_order():
-    # The per-instance table against arith's general-n orders: o(r, b) =
+    # The per-instance table against the classic order search: o(r, b) =
     # ord_{r**b}(e) for every r**b | lambda, p - 1 and q - 1 factored, and
     # K = ord_lambda(e) factored.
     for p, q in semiprime_pairs(3000)[::9]:
@@ -200,8 +202,8 @@ def test_order_table_matches_multiplicative_order():
             orders, sides, k_max = census._orders(make_instance(p, q, e))
             assert sides == ((p, factorize(p - 1)), (q, factorize(q - 1)))
             for r, a in factorize(lam).factors:
-                assert orders[r] == tuple(arith.multiplicative_order(e, r**b) if b else 1 for b in range(a + 1))
-            assert k_max == factorize(arith.multiplicative_order(e, lam))
+                assert orders[r] == tuple(multiplicative_order(e, r**b) if b else 1 for b in range(a + 1))
+            assert k_max == factorize(multiplicative_order(e, lam))
 
 
 def test_max_period_examples():

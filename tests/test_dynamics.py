@@ -3,9 +3,9 @@ from math import gcd, lcm
 
 import pytest
 
-from conftest import odd_primes_upto, sample_exponents, semiprime_pairs, walk_periods
+from conftest import multiplicative_order, odd_primes_upto, sample_exponents, semiprime_pairs, walk_periods
 from rsa_fixpoints import arith, census, dynamics
-from rsa_fixpoints.arith import divisors, factorize, multiplicative_order
+from rsa_fixpoints.arith import divisors, factorize
 from rsa_fixpoints.census import RsaInstance, make_instance
 from rsa_fixpoints.dynamics import (
     PeriodRecord,
