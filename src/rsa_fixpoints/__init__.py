@@ -4,14 +4,7 @@ Closed-form counts of the points of every period, constructive
 enumeration, brute-force oracles, and an exponent-safety audit.
 """
 
-from .arith import (
-    Factorization,
-    crt_combine,
-    divisors,
-    euler_phi,
-    factorize,
-    is_prime,
-)
+from .arith import Factorization, factorize, is_prime
 from .census import (
     ExactOrderCensus,
     RsaInstance,
@@ -33,7 +26,6 @@ from .dynamics import (
     enumerate_fixed_points,
     extract_factor_from_fixed_point,
     find_nontrivial_fixed_point,
-    iterate_power_map,
     period_of_point,
 )
 from .errors import CapExceededError, FactoringError, LimitExceededError

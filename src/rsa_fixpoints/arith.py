@@ -1,4 +1,4 @@
-"""Exact integer kernel: gcd, factoring, multiplicative structure, CRT.
+"""Exact integer kernel: primality, factoring, divisor lattices, element orders.
 
 Everything works on plain Python ints, so all arithmetic is arbitrary
 precision end to end.  Nothing here is constant-time or otherwise hardened
@@ -18,9 +18,6 @@ __all__ = [
     "Factorization",
     "is_prime",
     "factorize",
-    "divisors",
-    "euler_phi",
-    "crt_combine",
     "DEFAULT_FACTOR_BUDGET",
 ]
 
@@ -167,16 +164,6 @@ def _divisor_lattice(f: Factorization) -> list[int]:
     return divs
 
 
-def divisors(f: Factorization) -> list[int]:
-    """All divisors of f.value in increasing order."""
-    return sorted(_divisor_lattice(f))
-
-
-def euler_phi(f: Factorization) -> int:
-    """Number of units modulo f.value."""
-    return prod(p ** (a - 1) * (p - 1) for p, a in f.factors)
-
-
 def _order_exponents(a: int, m: int, factors) -> dict[int, int]:
     # {s: v_s(ord_m(a))} for each (s, c) of factors, given that ord_m(a)
     # divides their product N.  A product tree on a work list: an item
@@ -206,21 +193,3 @@ def _order_exponents(a: int, m: int, factors) -> dict[int, int]:
             v += 1
         vs[s] = v
     return vs
-
-
-def crt_combine(residues) -> int:
-    """Unique x in [0, prod moduli) matching every (residue, modulus) pair.
-
-    Moduli must be pairwise coprime and >= 1.
-    """
-    x, modulus = 0, 1
-    for r, m in residues:
-        if m < 1:
-            raise ValueError(f"modulus must be >= 1, got {m}")
-        g = gcd(modulus, m)
-        if g != 1:
-            raise ValueError(f"moduli are not pairwise coprime (shared factor {g})")
-        t = (r - x) * pow(modulus, -1, m) % m if m > 1 else 0
-        x += modulus * t
-        modulus *= m
-    return x % modulus

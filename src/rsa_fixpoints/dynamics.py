@@ -22,7 +22,6 @@ from .errors import CapExceededError
 __all__ = [
     "PeriodRecord",
     "CycleStructure",
-    "iterate_power_map",
     "period_of_point",
     "analytic_cycle_structure",
     "enumerate_fixed_points",
@@ -53,18 +52,6 @@ class CycleStructure:
 
     entries: dict[int, tuple[int, int]]
     n: int
-
-
-def iterate_power_map(x: int, inst: RsaInstance, steps: int) -> int:
-    """Apply x -> x**e mod n ``steps`` times (e**steps is never formed)."""
-    if not 0 <= x < inst.n:
-        raise ValueError(f"x must lie in [0, {inst.n}), got {x}")
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    y = x
-    for _ in range(steps):
-        y = pow(y, inst.e, inst.n)
-    return y
 
 
 def period_of_point(x: int, inst: RsaInstance) -> PeriodRecord:
@@ -218,6 +205,6 @@ def find_nontrivial_fixed_point(inst: RsaInstance, budget: int = DEFAULT_ENUMERA
     try:
         points = enumerate_fixed_points(inst, 1, cap=budget)
     except CapExceededError:
-        return arith.crt_combine([(0, inst.p), (1, inst.q)])
+        return inst.p * pow(inst.p, -1, inst.q)
     # (0 mod p, 1 mod q) is among the points, so one always splits n.
     return next(m for m in points if extract_factor_from_fixed_point(m, inst.n) is not None)

@@ -1,11 +1,12 @@
 """Shared helpers: instance grids, deterministic exponent sampling, the
-classic order search, and the brute-force period walk used as ground
-truth."""
+reference arithmetic the library is checked against (divisors, Euler phi,
+Mobius, CRT, the classic order search), and the literal iteration and
+brute-force period walk used as ground truth."""
 
 from __future__ import annotations
 
 import random
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from rsa_fixpoints import arith, census
 
@@ -37,6 +38,34 @@ def sample_exponents(lam: int, count: int, seed) -> list[int]:
         seen.add(e)
         out.append(e)
     return out
+
+
+def divisors(f: arith.Factorization) -> list[int]:
+    """All divisors of f.value in increasing order."""
+    return sorted(arith._divisor_lattice(f))
+
+
+def euler_phi(f: arith.Factorization) -> int:
+    """Number of units modulo f.value."""
+    return prod(p ** (a - 1) * (p - 1) for p, a in f.factors)
+
+
+def crt_combine(residues) -> int:
+    """Unique x in [0, prod moduli) matching every (residue, modulus) pair.
+
+    Moduli must be pairwise coprime and >= 1.
+    """
+    x, modulus = 0, 1
+    for r, m in residues:
+        if m < 1:
+            raise ValueError(f"modulus must be >= 1, got {m}")
+        g = gcd(modulus, m)
+        if g != 1:
+            raise ValueError(f"moduli are not pairwise coprime (shared factor {g})")
+        t = (r - x) * pow(modulus, -1, m) % m if m > 1 else 0
+        x += modulus * t
+        modulus *= m
+    return x % modulus
 
 
 def mobius(n: int) -> int:
@@ -88,6 +117,18 @@ def _gcd_pow_minus_one(e: int, k: int, m: int) -> int:
 def per_prime_exact_order_count(prime: int, e: int, k: int) -> int:
     """Units mod an odd prime with exact period k under x -> x**e."""
     return census._invert_at(k, lambda d: _gcd_pow_minus_one(e, d, prime - 1))
+
+
+def iterate_power_map(x: int, inst: census.RsaInstance, steps: int) -> int:
+    """Apply x -> x**e mod n ``steps`` times (e**steps is never formed)."""
+    if not 0 <= x < inst.n:
+        raise ValueError(f"x must lie in [0, {inst.n}), got {x}")
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    y = x
+    for _ in range(steps):
+        y = pow(y, inst.e, inst.n)
+    return y
 
 
 def walk_periods(n: int, e: int) -> list[int]:

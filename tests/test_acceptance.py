@@ -21,9 +21,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import carmichael_lambda, mobius, sample_exponents, semiprime_pairs, walk_periods
+from conftest import carmichael_lambda, divisors, mobius, sample_exponents, semiprime_pairs, walk_periods
 from rsa_fixpoints import census, dynamics, oracle
-from rsa_fixpoints.arith import divisors, factorize
+from rsa_fixpoints.arith import factorize
 from rsa_fixpoints.census import make_instance
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -4,16 +4,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import carmichael_lambda, mobius, multiplicative_order
+from conftest import carmichael_lambda, crt_combine, divisors, euler_phi, mobius, multiplicative_order
 from rsa_fixpoints import arith
-from rsa_fixpoints.arith import (
-    Factorization,
-    crt_combine,
-    divisors,
-    euler_phi,
-    factorize,
-    is_prime,
-)
+from rsa_fixpoints.arith import Factorization, factorize, is_prime
 from rsa_fixpoints.errors import FactoringError
 
 

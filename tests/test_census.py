@@ -5,6 +5,8 @@ import pytest
 
 from conftest import (
     carmichael_lambda,
+    divisors,
+    euler_phi,
     mobius,
     multiplicative_order,
     per_prime_exact_order_count,
@@ -13,7 +15,7 @@ from conftest import (
     walk_periods,
 )
 from rsa_fixpoints import arith, census, oracle
-from rsa_fixpoints.arith import divisors, euler_phi, factorize
+from rsa_fixpoints.arith import factorize
 from rsa_fixpoints.census import (
     cumulative_unit_fixed_count,
     elements_of_order_count,

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import odd_primes_upto
 from rsa_fixpoints import arith, cli, reports
 from rsa_fixpoints.cli import build_parser, main
 
@@ -302,3 +308,93 @@ def test_parser_defaults_and_formats_per_subcommand():
         assert parsed == {"command": name, **expected}, name
         actions = subparsers.choices[name]._actions
         assert next((a.choices for a in actions if a.dest == "format"), None) == formats, name
+
+
+# Every flag of each subcommand.  The flags with expensive defaults are
+# always given, under the bounds below, so no single case runs long.
+FUZZ_FLAGS = {
+    "census": ("--p", "--q", "--e", "--format"),
+    "audit": ("--p", "--q", "--e", "--n", "--factor-budget", "--weak-bounds", "--warn-bound",
+              "--warn-fraction", "--min-kmax", "--format"),
+    "cycles": ("--p", "--q", "--e", "--format"),
+    "enumerate": ("--p", "--q", "--e", "--k", "--cap", "--format"),
+    "oracle": ("--p", "--q", "--e", "--n", "--factor-budget", "--limit", "--format"),
+    "factor-demo": ("--p", "--q", "--e", "--cap"),
+}
+FUZZ_BOUNDS = {"--limit": 10**4, "--cap": 300, "--factor-budget": 2_000}
+PRIME = st.sampled_from(odd_primes_upto(100))
+SMALL = st.one_of(PRIME, st.integers(0, 12))
+# Half of the draws are small primes, so that many p, q are valid.
+NUMBER = st.one_of(PRIME, PRIME, st.just(2**61 - 1), st.integers(0, 2**70))
+FUZZ_NUMBERS = {
+    "--e": st.one_of(st.just(65537), st.just(2**61 - 1), SMALL, NUMBER),
+    "--k": st.one_of(st.integers(1, 4), SMALL, NUMBER),
+    "--warn-bound": SMALL,
+    "--min-kmax": SMALL,
+    **{flag: st.integers(0, bound) for flag, bound in FUZZ_BOUNDS.items()},
+}
+JUNK = ["", "-1", "1/0", "abc"]
+
+
+@st.composite
+def cli_argv(draw):
+    # Mostly well-formed argv, so that many cases get past argparse and
+    # validation: a flag is left out or takes a junk token one time in
+    # twenty, and --p/--q mostly appear only when --n does not.
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    formats = ["json", "lines"] if command == "enumerate" else ["json", "csv", "table"]
+    with_n = "--n" in FUZZ_FLAGS[command] and draw(st.booleans())
+    p, q = draw(st.one_of(*(st.lists(v, min_size=2, max_size=2, unique=True) for v in (PRIME, NUMBER))))
+    numbers = {**FUZZ_NUMBERS, "--p": st.just(p), "--q": st.just(q), "--n": st.sampled_from([p * q, p])}
+
+    def rare():
+        return draw(st.integers(0, 19)) == 19
+
+    def token(flag):
+        if rare():
+            return draw(st.sampled_from(JUNK))
+        if flag == "--format":
+            return draw(st.sampled_from(formats))
+        if flag == "--warn-fraction":
+            return draw(st.sampled_from(["0", "1/1000", "3/2"]))
+        if flag == "--weak-bounds":
+            return ",".join(str(v) for v in draw(st.lists(SMALL, min_size=1, max_size=3)))
+        value = draw(numbers.get(flag, NUMBER))
+        return hex(value) if draw(st.booleans()) else str(value)
+
+    def given_flag(flag):
+        if flag in FUZZ_BOUNDS:
+            return True
+        if flag == "--n":
+            return with_n
+        if with_n and flag in ("--p", "--q"):
+            return rare()
+        return not rare()
+
+    argv = [command]
+    for flag in draw(st.permutations([f for f in FUZZ_FLAGS[command] if given_flag(f)])):
+        argv += [flag, token(flag)]
+    return argv
+
+
+def _no_unsafe_int(text):
+    value = int(text)
+    assert abs(value) <= reports.JSON_SAFE_INT, text
+    return value
+
+
+@given(cli_argv())
+@settings(max_examples=500, deadline=None)
+def test_main_fuzzed_argv_ends_in_a_documented_exit(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    stdout = out.getvalue()
+    if code != 0:
+        assert stdout == "", argv
+    elif stdout.startswith("{"):
+        json.loads(stdout, parse_int=_no_unsafe_int)

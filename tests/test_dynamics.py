@@ -3,9 +3,17 @@ from math import gcd, lcm
 
 import pytest
 
-from conftest import multiplicative_order, odd_primes_upto, sample_exponents, semiprime_pairs, walk_periods
+from conftest import (
+    divisors,
+    iterate_power_map,
+    multiplicative_order,
+    odd_primes_upto,
+    sample_exponents,
+    semiprime_pairs,
+    walk_periods,
+)
 from rsa_fixpoints import arith, census, dynamics
-from rsa_fixpoints.arith import divisors, factorize
+from rsa_fixpoints.arith import factorize
 from rsa_fixpoints.census import RsaInstance, make_instance
 from rsa_fixpoints.dynamics import (
     PeriodRecord,
@@ -14,7 +22,6 @@ from rsa_fixpoints.dynamics import (
     enumerate_fixed_points,
     extract_factor_from_fixed_point,
     find_nontrivial_fixed_point,
-    iterate_power_map,
     period_of_point,
 )
 from rsa_fixpoints.errors import CapExceededError
@@ -209,6 +216,13 @@ def test_find_nontrivial_budget_fallback():
     m = find_nontrivial_fixed_point(INST, budget=5)  # E_1 = 15 > 5
     assert m == 15  # (0 mod 5, 1 mod 7)
     assert pow(m, 5, 35) == m
+    # budget=0 is below every E_1, so each instance takes the fallback.
+    for inst in [*_sample_instances(), *_big_instances("fallback", 1, bits=(64, 64))]:
+        p, q, n = inst.p, inst.q, inst.n
+        m = find_nontrivial_fixed_point(inst, budget=0)
+        assert m % p == 0 and m % q == 1 and 0 < m < n, inst
+        assert pow(m, inst.e, n) == m
+        assert extract_factor_from_fixed_point(m, n) == p
 
 
 def _prime_with_known_p_minus_1(rng, bits):

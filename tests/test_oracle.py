@@ -1,6 +1,8 @@
 import pytest
 
+from conftest import euler_phi
 from rsa_fixpoints import census, oracle
+from rsa_fixpoints.arith import factorize
 from rsa_fixpoints.census import make_instance
 from rsa_fixpoints.errors import LimitExceededError
 from rsa_fixpoints.oracle import (
@@ -66,8 +68,6 @@ def test_brute_element_orders_examples():
     assert brute_element_orders(7) == {1: 1, 2: 1, 3: 2, 6: 2}
     assert brute_element_orders(8) == {1: 1, 2: 3}
     for n in (7, 8, 12, 45):
-        from rsa_fixpoints.arith import euler_phi, factorize
-
         assert sum(brute_element_orders(n).values()) == euler_phi(factorize(n))
 
 
