@@ -20,9 +20,7 @@ from .census import (
     roots_of_unity_count,
 )
 from .dynamics import (
-    CycleStructure,
     PeriodRecord,
-    analytic_cycle_structure,
     enumerate_fixed_points,
     extract_factor_from_fixed_point,
     find_nontrivial_fixed_point,

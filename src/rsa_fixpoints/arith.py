@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from math import gcd, isqrt, prod
 
 from .errors import FactoringError
@@ -45,18 +46,69 @@ def _small_primes() -> tuple[int, ...]:
     sieve[0] = sieve[1] = 0
     for i in range(2, isqrt(_TRIAL_BOUND) + 1):
         if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return tuple(i for i in range(_TRIAL_BOUND) if sieve[i])
+            sieve[i * i :: i] = bytes(len(range(i * i, _TRIAL_BOUND, i)))
+    return tuple(compress(range(_TRIAL_BOUND), sieve))
 
 
 # Smallest known base set that makes Miller-Rabin deterministic below
-# 3_317_044_064_679_887_385_961_981 (~3.3e24), comfortably past 64 bits.
-# Above that bound the same bases are a strong probabilistic test only.
+# _MR_EXACT (~3.3e24), the first strong pseudoprime to all of them; from
+# there on is_prime adds a strong Lucas test (Baillie-PSW).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT = 3_317_044_064_679_887_385_961_981
+
+
+def _jacobi(a: int, n: int) -> int:
+    # The Jacobi symbol (a/n) for odd n > 0, by quadratic reciprocity.
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    # Strong Lucas probable-prime test on odd n > 2 with Selfridge's
+    # parameters: D the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1,
+    # Q = (1 - D)/4.  With n + 1 = d * 2**s, n passes when U_d = 0 or
+    # V_(d * 2**r) = 0 mod n for some r < s.  A square has no such D.
+    if isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else 2 - D
+    Q = (1 - D) // 4
+    d = n + 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    # U_k, V_k, Q**k from k = 1 up the bits of d: 2k, then 2k + 1 at a 1
+    # (a halving, exact mod the odd n).
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = (U + V) % n, (D * U + V) % n
+            U, V = (U + n * (U & 1)) // 2, (V + n * (V & 1)) // 2
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test (exact below ~3.3e24)."""
+    """Miller-Rabin primality test, exact below ~3.3e24; Baillie-PSW above."""
     if n < 53:
         return n in {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
@@ -75,7 +127,7 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_EXACT or _strong_lucas(n)
 
 
 def _brent_rho(n: int, budget: int) -> tuple[int | None, int]:

@@ -17,10 +17,7 @@ from fractions import Fraction
 from . import arith, census, dynamics, oracle, reports
 from .errors import CapExceededError, FactoringError, LimitExceededError
 
-EXIT_OK = 0
-EXIT_INVALID = 2
-EXIT_FACTORING_FAILED = 3
-EXIT_CAP_EXCEEDED = 4
+EXIT_CODES = {ValueError: 2, FactoringError: 3, CapExceededError: 4, LimitExceededError: 4}
 
 WARN_FRACTION_ENV = "RSA_FIXPOINT_WARN_FRACTION"
 
@@ -100,22 +97,12 @@ def cmd_audit(inst: census.RsaInstance, args) -> str:
 
 
 def cmd_cycles(inst: census.RsaInstance, args) -> str:
-    return reports.render_cycles(dynamics.analytic_cycle_structure(inst), args.format)
+    return reports.render_cycles(census.full_census(inst), inst.n, args.format)
 
 
 def cmd_enumerate(inst: census.RsaInstance, args) -> str:
     points = dynamics.enumerate_fixed_points(inst, args.k, cap=args.cap)
-    if args.format == "lines":
-        return "".join(f"{m}\n" for m in points)
-    if inst.n > reports.JSON_SAFE_INT:  # below that, so is every point
-        points = [reports.encode_int(m) for m in points]
-    payload = {
-        "instance": reports.instance_to_json_dict(inst),
-        "k": reports.encode_int(args.k),
-        "count": len(points),
-        "fixed_points": points,
-    }
-    return reports.render_json(payload)
+    return reports.render_points(inst, args.k, points, args.format)
 
 
 def cmd_oracle(inst: census.RsaInstance, args) -> str:
@@ -124,16 +111,7 @@ def cmd_oracle(inst: census.RsaInstance, args) -> str:
 
 def cmd_factor_demo(inst: census.RsaInstance, args) -> str:
     m = dynamics.find_nontrivial_fixed_point(inst, budget=args.cap)
-    factor = dynamics.extract_factor_from_fixed_point(m, inst.n)
-    payload = {
-        "instance": reports.instance_to_json_dict(inst),
-        "fixed_point": reports.encode_int(m),
-        "factor": reports.encode_int(factor),
-        "cofactor": reports.encode_int(inst.n // factor),
-        "fixed_point_mod_p": reports.encode_int(m % inst.p),
-        "fixed_point_mod_q": reports.encode_int(m % inst.q),
-    }
-    return reports.render_json(payload)
+    return reports.render_factor_demo(inst, m, dynamics.extract_factor_from_fixed_point(m, inst.n))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -221,14 +199,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         sys.stdout.write(args.handler(_resolve_instance(args), args))
-        return EXIT_OK
-    except ValueError as exc:
+        return 0
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except FactoringError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FACTORING_FAILED
-    except (CapExceededError, LimitExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP_EXCEEDED
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 

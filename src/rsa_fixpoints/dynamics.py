@@ -1,10 +1,10 @@
 """The power map x -> x**e (mod pq) as a dynamical system.
 
-Closed-form per-point periods, analytic cycle structure, constructive
-CRT enumeration of the points of a given period, and the fixed-point ->
-factor extraction.  Everything assumes a validated RsaInstance: on a
-squarefree modulus with gcd(e, lambda) = 1 the map is a permutation, so
-"period" is well defined for every residue.
+Closed-form per-point periods, constructive enumeration of the points
+of a given period, and the fixed-point -> factor extraction.  Everything
+assumes a validated RsaInstance: on a squarefree modulus with
+gcd(e, lambda) = 1 the map is a permutation, so "period" is well defined
+for every residue.
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ from .errors import CapExceededError
 
 __all__ = [
     "PeriodRecord",
-    "CycleStructure",
     "period_of_point",
-    "analytic_cycle_structure",
     "enumerate_fixed_points",
     "extract_factor_from_fixed_point",
     "find_nontrivial_fixed_point",
@@ -46,14 +44,6 @@ class PeriodRecord:
     component_orders: tuple[int | None, int | None]
 
 
-@dataclass(frozen=True)
-class CycleStructure:
-    """Map from cycle length k, ascending, to (point count, cycle count) for Z_n."""
-
-    entries: dict[int, tuple[int, int]]
-    n: int
-
-
 def period_of_point(x: int, inst: RsaInstance) -> PeriodRecord:
     """Exact period of x under the power map, computed without iterating.
 
@@ -71,13 +61,6 @@ def period_of_point(x: int, inst: RsaInstance) -> PeriodRecord:
     comps = tuple([None if v is None else prod(r**b for r, b in v.items()) for v in vs])
     period = lcm(*[orders[r][b] for v in vs if v for r, b in v.items()])
     return PeriodRecord(point=x, period=period, component_orders=comps)
-
-
-def analytic_cycle_structure(inst: RsaInstance) -> CycleStructure:
-    """Cycle type of the permutation: points of period k split into E_k / k cycles."""
-    cen = census.full_census(inst)
-    entries = {k: (e_k, e_k // k) for k, e_k in cen.all_counts.items() if e_k > 0}
-    return CycleStructure(entries=entries, n=inst.n)
 
 
 @lru_cache(maxsize=128)

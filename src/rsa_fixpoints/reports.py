@@ -1,4 +1,4 @@
-"""Deterministic report objects and rendering (JSON / CSV / table).
+"""Deterministic report objects and every output layout (JSON / CSV / table / lines).
 
 JSON output is byte-stable: fixed key order, two-space indent, one
 trailing newline.  Integers whose magnitude exceeds 2**53 are emitted
@@ -17,7 +17,6 @@ from json.encoder import encode_basestring_ascii
 
 from . import census as census_mod
 from .census import ExactOrderCensus, RsaInstance
-from .dynamics import CycleStructure
 
 __all__ = [
     "AuditReport",
@@ -25,6 +24,8 @@ __all__ = [
     "render_report",
     "render_census",
     "render_cycles",
+    "render_points",
+    "render_factor_demo",
     "census_to_json_dict",
     "census_from_json_dict",
     "render_json",
@@ -199,21 +200,53 @@ def render_census(cen: ExactOrderCensus, fmt: str) -> str:
     return _render_rows(fmt, f"k_max = {cen.k_max}", ("k", "T_k", "E_k"), rows)
 
 
-def cycles_to_json_dict(cs: CycleStructure) -> dict:
+def _cycle_rows(cen: ExactOrderCensus) -> list[tuple[int, int, int]]:
+    # The cycle type: (k, E_k points, E_k / k cycles) for each period k of some point.
+    return [(k, e_k, e_k // k) for k, e_k in cen.all_counts.items() if e_k > 0]
+
+
+def cycles_to_json_dict(cen: ExactOrderCensus, n: int) -> dict:
     return {
-        "n": encode_int(cs.n),
+        "n": encode_int(n),
         "entries": {
             str(k): {"points": encode_int(pts), "cycles": encode_int(cyc)}
-            for k, (pts, cyc) in cs.entries.items()
+            for k, pts, cyc in _cycle_rows(cen)
         },
     }
 
 
-def render_cycles(cs: CycleStructure, fmt: str) -> str:
+def render_cycles(cen: ExactOrderCensus, n: int, fmt: str) -> str:
     if fmt == "json":
-        return render_json(cycles_to_json_dict(cs))
-    rows = [(k, pts, cyc) for k, (pts, cyc) in cs.entries.items()]
-    return _render_rows(fmt, f"n = {cs.n}", ("k", "points", "cycles"), rows)
+        return render_json(cycles_to_json_dict(cen, n))
+    return _render_rows(fmt, f"n = {n}", ("k", "points", "cycles"), _cycle_rows(cen))
+
+
+def render_points(inst: RsaInstance, k: int, points: list[int], fmt: str) -> str:
+    """Render the points of period k: one per line, or JSON with the instance."""
+    if fmt == "lines":
+        return "\n".join(map(str, points)) + "\n" if points else ""
+    if inst.n > JSON_SAFE_INT:  # below that, so is every point
+        points = [encode_int(m) for m in points]
+    payload = {
+        "instance": instance_to_json_dict(inst),
+        "k": encode_int(k),
+        "count": len(points),
+        "fixed_points": points,
+    }
+    return render_json(payload)
+
+
+def render_factor_demo(inst: RsaInstance, m: int, factor: int) -> str:
+    """Render the fixed point m, the factor of n it reveals, and its CRT components."""
+    payload = {
+        "instance": instance_to_json_dict(inst),
+        "fixed_point": encode_int(m),
+        "factor": encode_int(factor),
+        "cofactor": encode_int(inst.n // factor),
+        "fixed_point_mod_p": encode_int(m % inst.p),
+        "fixed_point_mod_q": encode_int(m % inst.q),
+    }
+    return render_json(payload)
 
 
 def audit_to_table(report: AuditReport) -> str:

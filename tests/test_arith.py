@@ -1,4 +1,4 @@
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import carmichael_lambda, crt_combine, divisors, euler_phi, mobius, multiplicative_order
 from rsa_fixpoints import arith
 from rsa_fixpoints.arith import Factorization, factorize, is_prime
+from rsa_fixpoints.census import make_instance
 from rsa_fixpoints.errors import FactoringError
 
 
@@ -73,6 +74,32 @@ def test_is_prime_small_and_carmichael():
     assert not is_prime(561)        # Carmichael
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
     assert is_prime(2**61 - 1)
+    # The sieve that factorize divides by, against trial division.
+    trial = [m for m in range(2, 1 << 16) if all(m % d for d in range(2, isqrt(m) + 1))]
+    assert arith._small_primes() == tuple(trial)
+
+
+# 1287836182261 * 2575672364521, the least strong pseudoprime to every
+# Miller-Rabin base is_prime uses.
+MR_PSEUDOPRIME = 3317044064679887385961981
+
+
+def test_is_prime_rejects_the_pseudoprime_to_all_bases():
+    assert not is_prime(MR_PSEUDOPRIME)
+    with pytest.raises(ValueError, match="odd prime"):
+        make_instance(MR_PSEUDOPRIME, 1_000_003, 7)
+    assert factorize(MR_PSEUDOPRIME).factors == ((1287836182261, 1), (2575672364521, 1))
+
+
+def test_strong_lucas_accepts_primes_and_its_own_pseudoprimes():
+    for m in (89, 107, 127):
+        assert arith._strong_lucas(2**m - 1)
+    # Strong Lucas pseudoprimes for Selfridge's parameters (OEIS A217255):
+    # the Lucas test alone passes them, Miller-Rabin does not.
+    for n in (5459, 5777, 10877, 16109, 18971):
+        assert arith._strong_lucas(n)
+        assert not is_prime(n)
+    assert not arith._strong_lucas(MR_PSEUDOPRIME)
 
 
 def test_divisors_examples():

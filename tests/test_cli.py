@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -398,3 +399,52 @@ def test_main_fuzzed_argv_ends_in_a_documented_exit(argv):
         assert stdout == "", argv
     elif stdout.startswith("{"):
         json.loads(stdout, parse_int=_no_unsafe_int)
+
+
+def test_pseudoprime_to_all_bases_is_refused_as_p(capsys):
+    # 1287836182261 * 2575672364521 passes Miller-Rabin on every base is_prime uses.
+    assert main(["census", "--p", "3317044064679887385961981", "--q", "1000003", "--e", "7"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and "odd prime" in err
+
+
+def readme_cli_synopsis():
+    # The README's CLI block as one (required argv, [(flag, value)]) per
+    # command: continuation lines joined, "# ..." comments dropped.
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("rsa-fixpoints "):
+            commands.append(line)
+        elif line:
+            commands[-1] += " " + line
+    synopsis = []
+    for command in commands:
+        options = [opt.split() for opt in re.findall(r"\[([^\]]*)\]", command)]
+        required = re.sub(r"\[[^\]]*\]", " ", command).split()[1:]
+        synopsis.append((required, options))
+    return synopsis
+
+
+def test_readme_cli_synopsis_runs():
+    # Each README command alone, with each --format alternative, and with
+    # each bracketed option that has a literal value; N, C, L are placeholders.
+    runs = []
+    for required, options in readme_cli_synopsis():
+        runs.append(required)
+        for flag, value in options:
+            if flag == "--format":
+                runs += [[*required, flag, fmt] for fmt in value.split("|")]
+            elif not (value.isalpha() and value.isupper()):
+                runs.append([*required, flag, value])
+    commands = {argv[0] for argv in runs}
+    assert commands == set(_PARSED)
+    assert len(runs) >= 20
+    for argv in runs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0, argv
+        assert out.getvalue(), argv

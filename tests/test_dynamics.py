@@ -1,3 +1,4 @@
+import json
 import random
 from math import gcd, lcm
 
@@ -12,13 +13,12 @@ from conftest import (
     semiprime_pairs,
     walk_periods,
 )
-from rsa_fixpoints import arith, census, dynamics
+from rsa_fixpoints import arith, census, dynamics, reports
 from rsa_fixpoints.arith import factorize
 from rsa_fixpoints.census import RsaInstance, make_instance
 from rsa_fixpoints.dynamics import (
     PeriodRecord,
     _period_products,
-    analytic_cycle_structure,
     enumerate_fixed_points,
     extract_factor_from_fixed_point,
     find_nontrivial_fixed_point,
@@ -159,16 +159,23 @@ def test_enumerate_matches_iteration_beyond_sweep():
     assert grid_sides == {True, False}
 
 
+def cycle_structure(inst):
+    # ({k: (points, cycles)}, n) as the cycles renderer writes them from the census.
+    payload = json.loads(reports.render_cycles(census.full_census(inst), inst.n, "json"))
+    entries = {int(k): (int(v["points"]), int(v["cycles"])) for k, v in payload["entries"].items()}
+    return entries, int(payload["n"])
+
+
 def test_analytic_cycle_structure_reference():
-    cs = analytic_cycle_structure(INST)
-    assert cs.entries == {1: (15, 15), 2: (20, 10)}
-    assert cs.n == 35
+    entries, n = cycle_structure(INST)
+    assert entries == {1: (15, 15), 2: (20, 10)}
+    assert n == 35
 
 
 def test_cycle_structure_identity_map():
     inst = make_instance(5, 7, 13)
-    cs = analytic_cycle_structure(inst)
-    assert cs.entries == {1: (35, 35)}
+    entries, _ = cycle_structure(inst)
+    assert entries == {1: (35, 35)}
 
 
 def test_cycle_structure_matches_brute_decomposition():
@@ -177,10 +184,10 @@ def test_cycle_structure_matches_brute_decomposition():
         brute: dict[int, int] = {}
         for k in periods:
             brute[k] = brute.get(k, 0) + 1
-        cs = analytic_cycle_structure(inst)
-        assert cs.entries == {k: (pts, pts // k) for k, pts in brute.items()}
-        assert sum(pts for pts, _ in cs.entries.values()) == inst.n
-        for k, (pts, cycles) in cs.entries.items():
+        entries, _ = cycle_structure(inst)
+        assert entries == {k: (pts, pts // k) for k, pts in brute.items()}
+        assert sum(pts for pts, _ in entries.values()) == inst.n
+        for k, (pts, cycles) in entries.items():
             assert pts == k * cycles
 
 
