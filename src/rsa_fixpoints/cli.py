@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -46,7 +47,16 @@ def _bounds_arg(s: str) -> tuple[int, ...]:
     return tuple(_bound_arg(part) for part in s.split(","))
 
 
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+# Fraction writes a decimal exponent out in full (1e999999999 would never
+# finish), so its magnitude is held to int()'s default digit limit.
+_MAX_EXPONENT = 4300
+
+
 def _fraction_arg(s: str) -> Fraction:
+    exp = _EXPONENT.search(s)
+    if exp and (len(exp[1]) > _MAX_EXPONENT or abs(int(exp[1])) > _MAX_EXPONENT):
+        raise argparse.ArgumentTypeError(f"decimal exponent beyond +-{_MAX_EXPONENT}")
     try:
         f = Fraction(s)
     except (ValueError, ZeroDivisionError):

@@ -117,12 +117,15 @@ def enumerate_fixed_points(
 
     They are products A x B of per-prime solution classes (A mod P, B mod
     Q, {P, Q} = {p, q}), marked in a grid of rows t in [0, Q) by columns
-    a in the A's, ascending, whose cell (t, a) is x = a + P*t.  Read back
-    row by row the marks come out ascending, with no sort, at a cost in
-    proportion to the period's own size, not to n.  A period that would
-    mark under 1/16 of its grid is CRT-paired and sorted instead.  Raises
-    CapExceededError (carrying the count) when the census says the list
-    would exceed ``cap``; that check comes before anything is allocated.
+    a, ascending, whose cell (t, a) is x = a + P*t.  Three emitters read
+    them back: a period with 9*E_k >= 5*n takes every residue mod P as a
+    column, an n-byte mask of at most 9/5*cap bytes read by
+    compress(range(n), mask); any other takes the residues of its A's and
+    is read row by row, ascending with no sort, at a cost in proportion to
+    its own size; one that would mark under 1/16 of that grid is CRT-paired
+    and sorted.  Raises CapExceededError (carrying the count) when the
+    census says the list would exceed ``cap``; that check comes before
+    anything is allocated.
     """
     expected = census.exact_order_all_count(inst, k)
     if expected > cap:
@@ -131,7 +134,10 @@ def enumerate_fixed_points(
         return []
     products, P, Q = _period_products(inst, k)
     n = inst.n
-    cols = sorted(chain.from_iterable(A for A, _ in products))
+    # From 5/9 of Z_n on, the mask outruns the column grid, though it makes an
+    # int for every residue; then cell (t, a) sits at index x, and range(P)[a] = a.
+    full = 9 * expected >= 5 * n
+    cols = range(P) if full else sorted(chain.from_iterable(A for A, _ in products))
     w = len(cols)
     if 16 * expected < Q * w:
         cp, cq = Q * pow(Q, -1, P), P * pow(P, -1, Q)  # cp = 1 mod P, 0 mod Q; cq the reverse
@@ -139,8 +145,9 @@ def enumerate_fixed_points(
     # x = a + P*t is b mod Q exactly when t = (b - a)*P^-1 mod Q, so
     # column a is B's marks rotated left by a*P^-1.
     p_inv = pow(P, -1, Q)
-    column = {a: j for j, a in enumerate(cols)}
-    rows = isqrt(64 * Q // w) + 1  # rows per block: ~Q / rows calls against rows * w values
+    column = cols if full else {a: j for j, a in enumerate(cols)}
+    # Rows per block: ~Q / rows calls against rows * w values; the full mask is one block.
+    rows = Q if full else isqrt(64 * Q // w) + 1
     size = -(-Q // rows) * rows * w  # whole blocks; the rows past Q stay unmarked
     grid = bytearray(size)
     for A, B in products:
@@ -151,6 +158,8 @@ def enumerate_fixed_points(
         for a in A:
             s = a * p_inv % Q
             grid[column[a] : Q * w : w] = ind[s : s + Q]
+    if full:
+        return list(compress(range(n), grid))
     # Read back a block at a time: cell r*w + j of block i is cols[j] + P*r
     # + P*rows*i, ascending in the cell, and the blocks ascend with i.
     block = rows * w

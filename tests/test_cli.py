@@ -4,6 +4,8 @@ import json
 import re
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -170,6 +172,29 @@ def test_warn_fraction_env_override():
     assert json.loads(result.stdout)["verdict"] == "OK"  # weak fraction 1 is not > 1
     flag = run_cli("audit", "--p", "5", "--q", "7", "--e", "5", "--warn-fraction", "1/1000")
     assert json.loads(flag.stdout)["verdict"] == "WARN"
+
+
+def test_warn_fraction_refuses_huge_exponent_at_once(monkeypatch, capsys):
+    # Fraction would write 10**999999999 out in full; both the flag and the
+    # variable refuse an exponent beyond the int digit limit before that.
+    argv = ["audit", "--p", "5", "--q", "7", "--e", "5"]
+    for raw in ("1e999999999", "1e-999999999", "1e4301", "1e" + "9" * 5000):
+        monkeypatch.delenv("RSA_FIXPOINT_WARN_FRACTION", raising=False)
+        start = time.perf_counter()
+        try:
+            code = main([*argv, "--warn-fraction", raw])
+        except SystemExit as exc:  # argparse rejects the flag
+            code = exc.code
+        assert code == 2, raw
+        out, err = capsys.readouterr()
+        assert out == "" and "usage:" in err and "error: argument --warn-fraction" in err
+        monkeypatch.setenv("RSA_FIXPOINT_WARN_FRACTION", raw)
+        assert main(argv) == 2, raw
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: RSA_FIXPOINT_WARN_FRACTION")
+        assert time.perf_counter() - start < 1.0, raw
+    assert cli._fraction_arg("1e-3") == Fraction(1, 1000)
+    assert cli._fraction_arg("1e4300") == 10**4300
 
 
 def test_degenerate_verdict():

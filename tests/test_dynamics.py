@@ -135,7 +135,7 @@ def test_enumerate_matches_iteration_beyond_sweep():
     # against literal iteration for every k | K_max.
     rng = random.Random("enumerate-beyond-sweep")
     primes = odd_primes_upto(10**5 // 11)
-    grid_sides = set()
+    emitters = set()
     for e_choice in (3, 65537, None, 1):
         while True:
             p, q = sorted(rng.sample(primes, 2))
@@ -150,13 +150,16 @@ def test_enumerate_matches_iteration_beyond_sweep():
         cen = census.full_census(inst)
         for k, e_k in cen.all_counts.items():
             assert enumerate_fixed_points(inst, k, cap=inst.n) == by_period.get(k, []), (inst, k)
-            if e_k:
+            if 9 * e_k >= 5 * inst.n:
+                emitters.add("mask")
+            elif e_k:
                 products, _, Q = _period_products(inst, k)
-                grid_sides.add(16 * e_k >= Q * sum(len(A) for A, _ in products))
+                emitters.add("grid" if 16 * e_k >= Q * sum(len(A) for A, _ in products) else "sort")
         if e == 1:
             assert enumerate_fixed_points(inst, 1, cap=inst.n) == list(range(inst.n))
-    # Both emitters ran: the grid read back row by row and CRT pairing with a sort.
-    assert grid_sides == {True, False}
+    # All three emitters ran: the full-width mask (e = 1 among others), the
+    # column grid read back row by row, and CRT pairing with a sort.
+    assert emitters == {"mask", "grid", "sort"}
 
 
 def cycle_structure(inst):

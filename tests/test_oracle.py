@@ -1,7 +1,10 @@
+import random
+from math import gcd, lcm
+
 import pytest
 
-from conftest import euler_phi
-from rsa_fixpoints import census, oracle
+from conftest import euler_phi, odd_primes_upto, sample_exponents
+from rsa_fixpoints import census, oracle, reports
 from rsa_fixpoints.arith import factorize
 from rsa_fixpoints.census import make_instance
 from rsa_fixpoints.errors import LimitExceededError
@@ -86,3 +89,28 @@ def test_brute_poly_fixed_non_squarefree_has_non_returning_points():
     # 2, 4, 6 never return to themselves under powering
     assert sum(hist.values()) == 5
     assert hist == {2: 2, 3: 3}
+
+
+def test_census_and_cycle_rows_match_brute_census_beyond_sweep():
+    # Seeded moduli 10^4 < n <= 10^5, past the acceptance sweep's pq <= 3000:
+    # the closed-form census and the cycle rows rendered from it against the
+    # census of literal iteration, two instances per kind of exponent.
+    rng = random.Random("census-differential")
+    primes = odd_primes_upto(10**5 // 11)
+    for e_choice in (3, 65537, None, 1) * 2:
+        while True:
+            p, q = sorted(rng.sample(primes, 2))
+            lam = lcm(p - 1, q - 1)
+            e = e_choice or sample_exponents(lam, 1, seed=f"differential:{p}:{q}")[0]
+            if 10**4 < p * q <= 10**5 and gcd(e, lam) == 1:
+                break
+        inst = make_instance(p, q, e)
+        cen, ocen = census.full_census(inst), brute_power_map_census(inst)
+        assert cen.k_max == ocen.k_max, inst
+        assert set(ocen.all_counts) <= set(cen.all_counts), inst
+        for k in cen.all_counts:
+            assert cen.all_counts[k] == ocen.all_counts.get(k, 0), (inst, k)
+            assert cen.unit_counts[k] == ocen.unit_counts.get(k, 0), (inst, k)
+        for fmt in ("json", "csv", "table"):
+            rows = reports.render_cycles(cen, inst.n, fmt)
+            assert rows == reports.render_cycles(ocen, inst.n, fmt), (inst, fmt)
