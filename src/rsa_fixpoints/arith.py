@@ -216,32 +216,31 @@ def _divisor_lattice(f: Factorization) -> list[int]:
     return divs
 
 
-def _order_exponents(a: int, m: int, factors) -> dict[int, int]:
-    # {s: v_s(ord_m(a))} for each (s, c) of factors, given that ord_m(a)
-    # divides their product N.  A product tree on a work list: an item
-    # (y, lo, hi) holds y = a**(N / Q), Q the product of s**c over
-    # factors[lo:hi], so the order of y divides Q.  A range splits at its
-    # midpoint, each half raising y to the other half's product, and a y
-    # of 1 leaves v = 0 on its whole range.  At a leaf y has order s**v,
-    # v >= 1: count the s-th powers to 1, and after c - 1 of them v = c.
-    qs = [s**c for s, c in factors]
-    vs = dict.fromkeys([s for s, _ in factors], 0)
-    work = [(a % m, 0, len(qs))]
-    while work:
-        y, lo, hi = work.pop()
+def _peel_plan(factors) -> tuple:
+    # For _order_exponents: the primes of factors, then ((s**c, s, c), rest) per
+    # c >= 1, heaviest s**c first for the fewest exponent bits, rest the product after it.
+    steps = sorted(((s**c, s, c) for s, c in factors if c), reverse=True)
+    rests = [prod(q for q, _, _ in steps[i + 1 :]) for i in range(len(steps))]
+    return tuple(s for s, _ in factors), tuple(zip(steps, rests))
+
+
+def _order_exponents(a: int, m: int, plan) -> dict[int, int]:
+    # {s: v_s(ord_m(a))} for each prime of plan = _peel_plan(factors), where
+    # ord_m(a) divides the product of factors.  y's order divides s**c * rest,
+    # so z = y**rest has order s**v, v <= c: count its s-th powers to 1.  Then
+    # y drops s**c, unless z = 1 (it divides rest already) or this is the last step.
+    vs = dict.fromkeys(plan[0], 0)
+    y = a % m
+    for (q, s, c), rest in plan[1]:
         if y == 1:
+            break
+        z = pow(y, rest, m) if rest > 1 else y
+        if z == 1:
             continue
-        if hi - lo > 1:
-            mid = (lo + hi) // 2
-            work.append((pow(y, prod(qs[mid:hi]), m), lo, mid))
-            work.append((pow(y, prod(qs[lo:mid]), m), mid, hi))
-            continue
-        s, c = factors[lo]
+        if rest > 1:
+            y = pow(y, q, m)
         v = 1
-        while v < c:
-            y = pow(y, s, m)
-            if y == 1:
-                break
+        while v < c and (z := pow(z, s, m)) != 1:
             v += 1
         vs[s] = v
     return vs

@@ -4,7 +4,7 @@ Subcommands: census, audit, cycles, enumerate, oracle, factor-demo.
 All reports go to stdout and are deterministic for identical inputs.
 
 Exit codes: 0 success; 2 invalid parameters; 3 factoring failed;
-4 cap or scan limit exceeded.
+4 enumeration cap, census divisor budget or scan limit exceeded.
 """
 
 from __future__ import annotations

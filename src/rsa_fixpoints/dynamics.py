@@ -47,15 +47,15 @@ class PeriodRecord:
 def period_of_point(x: int, inst: RsaInstance) -> PeriodRecord:
     """Exact period of x under the power map, computed without iterating.
 
-    Only pows mod p and mod q: each component order comes from a product
-    tree over the primes of p - 1 or q - 1, about log2(omega) levels of
-    full-size pows, and the period is the lcm of o(r, b) = ord_{r**b}(e)
-    over the r**b || either component order.
+    Only pows mod p and mod q: each component order peels the prime
+    powers of p - 1 or q - 1 off x, heaviest first, by the plan the order
+    table holds, and the period is the lcm of o(r, b) = ord_{r**b}(e) over
+    the r**b || either component order.
     """
     if not 0 <= x < inst.n:
         raise ValueError(f"x must lie in [0, {inst.n}), got {x}")
     orders, sides, _ = census._orders(inst)
-    vs = [arith._order_exponents(x, prime, f.factors) if x % prime else None for prime, f in sides]
+    vs = [arith._order_exponents(x, prime, plan) if x % prime else None for prime, _, plan in sides]
     # Lists, not generators, feed tuple() and lcm(*...): a tuple grown from a
     # generator of varying length leaves freed blocks that raise peak RSS.
     comps = tuple([None if v is None else prod(r**b for r, b in v.items()) for v in vs])
@@ -70,9 +70,9 @@ def _residues_by_period(inst: RsaInstance, i: int, m: int) -> tuple[tuple[int, t
     # order u has period ord_u(e), the lcm of o(r, v_r(u)), and x = 0 has
     # period 1.  With h of order m, h**j has order m // gcd(j, m).
     orders, sides, _ = census._orders(inst)
-    prime, f = sides[i]
+    prime, f, plan = sides[i]
     # g is the smallest generator of Z_prime*, so the order is reproducible.
-    g = next(g for g in count(2) if all(pow(g, (prime - 1) // r, prime) != 1 for r, _ in f.factors))
+    g = next(g for g in count(2) if arith._order_exponents(g, prime, plan) == dict(f.factors))
     h = pow(g, (prime - 1) // m, prime)
     period = {1: 1}
     for r, a in f.factors:
@@ -93,7 +93,7 @@ def _period_products(inst: RsaInstance, k: int) -> tuple[list[tuple[list[int], l
     # residues times Q.  x has the lcm of its components' periods.
     P, Q = inst.p, inst.q
     orders, sides, _ = census._orders(inst)
-    ms = [census._unit_gcd(orders, f, k) for _, f in sides]
+    ms = [census._unit_gcd(orders, f, k) for _, f, _ in sides]
     classes_a, classes_b = (_residues_by_period(inst, i, m) for i, m in enumerate(ms))
     links = [[lcm(s, t) == k for t, _ in classes_b] for s, _ in classes_a]
     used_a = sum(len(xs) for (_, xs), row in zip(classes_a, links) if any(row))

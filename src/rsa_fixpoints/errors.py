@@ -21,12 +21,13 @@ class FactoringError(Exception):
 
 
 class CapExceededError(Exception):
-    """An enumeration would produce more results than the caller's cap."""
+    """An enumeration would produce more results than the caller's cap, or a
+    census would build a divisor lattice above its budget."""
 
-    def __init__(self, count: int, cap: int):
+    def __init__(self, count: int, cap: int, what: str = "result count", limit: str = "cap"):
         self.count = count
         self.cap = cap
-        super().__init__(f"result count {count} exceeds cap {cap}")
+        super().__init__(f"{what} {count} exceeds {limit} {cap}")
 
 
 class LimitExceededError(Exception):

@@ -215,6 +215,8 @@ def _order_cases(draw):
 @example((1, 97, ((2, 5), (3, 1))))  # a = 1
 @example((3 + 2 * 1024, 1024, ((2, 8),)))  # 2**k, unreduced a
 @example((5, 7, ((7, 0), (2, 1), (3, 1))))  # the (r, b - 1) entry of the order table at b = 1
+@example((5, 3, ((3, 0), (2, 1))))  # the order table of (5, 7, 5) at r = 3, b = 1: (3, 0) peels last
+@example((2, 63, ((2, 3), (3, 2), (101, 1))))  # a prime of N outside the order, peeled first
 @settings(max_examples=200, deadline=None)
 def test_order_exponents_match_brute_force_order(case):
     a, m, factors = case
@@ -226,7 +228,7 @@ def test_order_exponents_match_brute_force_order(case):
         want[s] = 0
         while d % s**(want[s] + 1) == 0:
             want[s] += 1
-    assert arith._order_exponents(a, m, factors) == want
+    assert arith._order_exponents(a, m, arith._peel_plan(factors)) == want
 
 
 def test_crt_combine_examples():

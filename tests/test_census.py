@@ -28,6 +28,7 @@ from rsa_fixpoints.census import (
     poly_fixed_count,
     roots_of_unity_count,
 )
+from rsa_fixpoints.errors import CapExceededError
 
 
 def test_make_instance_derives_group_orders():
@@ -202,10 +203,34 @@ def test_order_table_matches_multiplicative_order():
         lam = lcm(p - 1, q - 1)
         for e in [1, *sample_exponents(lam, 3, seed=f"table:{p}:{q}")]:
             orders, sides, k_max = census._orders(make_instance(p, q, e))
-            assert sides == ((p, factorize(p - 1)), (q, factorize(q - 1)))
+            assert [(x, f) for x, f, _ in sides] == [(p, factorize(p - 1)), (q, factorize(q - 1))]
             for r, a in factorize(lam).factors:
                 assert orders[r] == tuple(multiplicative_order(e, r**b) if b else 1 for b in range(a + 1))
             assert k_max == factorize(multiplicative_order(e, lam))
+
+
+def test_divisor_budget_bounds_the_census_lattice(monkeypatch):
+    # d(K) = 12 for K = 60: at a budget of 12 every count comes out as
+    # before; at 11 a transform over K's divisors refuses before its lattice,
+    # naming d(K), and one over k = 30 (d = 8) still runs.
+    inst = make_instance(1201, 1249, 65537)
+    assert max_period(inst) == 60
+    expected = full_census(inst)
+    monkeypatch.setattr(census, "DIVISOR_BUDGET", 12)
+    assert full_census(inst) == expected
+    assert exact_order_all_count(inst, 60) == expected.all_counts[60]
+    monkeypatch.setattr(census, "DIVISOR_BUDGET", 11)
+    assert exact_order_all_count(inst, 30) == expected.all_counts[30]
+
+    def no_lattice(f):
+        raise AssertionError("divisor lattice built above the budget")
+
+    monkeypatch.setattr(arith, "_divisor_lattice", no_lattice)
+    for count in (lambda: full_census(inst), lambda: exact_order_all_count(inst, 60)):
+        with pytest.raises(CapExceededError) as exc:
+            count()
+        assert (exc.value.count, exc.value.cap) == (12, 11)
+        assert str(exc.value) == "divisor count d(K) = 12 exceeds the census budget 11"
 
 
 def test_max_period_examples():

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import odd_primes_upto
-from rsa_fixpoints import arith, cli, reports
+from rsa_fixpoints import arith, census, cli, reports
 from rsa_fixpoints.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -130,6 +130,22 @@ def test_exit_code_cap_and_limit():
         result = run_cli(*argv)
         assert result.returncode == 4, argv
         assert result.stdout == ""
+
+
+def test_census_above_the_divisor_budget_exits_4_at_once(capsys):
+    # p - 1 is smooth (168 bits), and with q = 1000003 and e = 65537 K_max is
+    # a product of 29 primes: d(K) = 2**29, far past census.DIVISOR_BUDGET.
+    p, q, e = "196159178579839585836369750230843100538344579820409", "1000003", "65537"
+    k_max = census.max_period(census.make_instance(int(p), int(q), int(e)))
+    for cmd, *extra in (["census"], ["audit"], ["cycles"], ["enumerate", "--k", str(k_max)]):
+        argv = [cmd, "--p", p, "--q", q, "--e", e, *extra]
+        census._orders.cache_clear()
+        start = time.perf_counter()
+        assert main(argv) == 4, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: divisor count d(K) = {2**29} exceeds the census budget {1 << 20}\n"
+        assert time.perf_counter() - start < 1.0, argv
 
 
 def test_oracle_refuses_n_above_limit_before_factoring(monkeypatch, capsys):

@@ -1,6 +1,6 @@
 import json
 import random
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -324,3 +324,37 @@ def test_no_factoring_after_the_order_table(monkeypatch):
 
     monkeypatch.setattr(arith, "factorize", no_factoring)
     assert run() == expected
+
+
+def test_order_kernel_stays_within_the_peel_plan(monkeypatch):
+    # The pows of period_of_point, counted through arith.pow per modulus on
+    # 64-bit instances, against the heaviest-first plan for that side: at
+    # each step but the last, one pow by rest and one by s**c, and at each
+    # step c - 1 pows by s.
+    rng = random.Random("peel-work")
+    for inst in _big_instances("peel-work", 3, bits=(64, 64)):
+        census._orders(inst)
+        plan = {}
+        for x in (inst.p, inst.q):
+            factors = factorize(x - 1).factors
+            qs = sorted((s**c for s, c in factors), reverse=True)
+            steps = [prod(qs[i + 1 :]).bit_length() + q.bit_length() for i, q in enumerate(qs[:-1])]
+            leaves = [(c - 1) * s.bit_length() for s, c in factors]
+            plan[x] = (2 * len(steps) + sum(c - 1 for _, c in factors), sum(steps) + sum(leaves))
+        work = {}
+
+        def counting(base, exp, mod):
+            calls, bits = work.get(mod, (0, 0))
+            work[mod] = (calls + 1, bits + exp.bit_length())
+            return pow(base, exp, mod)
+
+        points = _points(rng, inst, 60)
+        expected = [_reference_period(x, inst)[0] for x in points]
+        monkeypatch.setattr(arith, "pow", counting, raising=False)
+        for x, rec in zip(points, expected):
+            work.clear()
+            assert period_of_point(x, inst) == rec
+            assert set(work) <= {inst.p, inst.q}, (inst, x)
+            for m, (calls, bits) in work.items():
+                assert calls <= plan[m][0] and bits <= plan[m][1], (inst, x, m, work[m], plan[m])
+        monkeypatch.undo()
