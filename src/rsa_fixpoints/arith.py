@@ -209,10 +209,14 @@ def factorize(n: int, *, budget: int = DEFAULT_FACTOR_BUDGET) -> Factorization:
 
 
 def _divisor_lattice(f: Factorization) -> list[int]:
-    # The divisors of f.value, the exponent of the last prime varying fastest.
+    # The divisors of f.value, the exponent of the first prime varying fastest:
+    # with the smallest primes innermost the list is in long ascending runs.
     divs = [1]
     for p, a in f.factors:
-        divs = [d * p**i for d in divs for i in range(a + 1)]
+        layer = divs
+        for _ in range(a):
+            layer = [d * p for d in layer]
+            divs += layer
     return divs
 
 

@@ -2,11 +2,13 @@
 
 A residue x modulo n = p*q has a well-defined period under repeated
 e-th powering whenever gcd(e, lambda(n)) = 1: splitting x by CRT, each
-component is either zero or a unit, and x returns to itself after k
-steps iff e**k = 1 modulo the lcm L of the nonzero component orders.
-Every count in this module falls out of Mobius inversion over a divisor
-lattice built on that observation; the full census is one such transform
-over the d(K) divisors of K = k_max, costing O(d(K) * omega(K)).
+component is zero (period 1) or a unit, and x has the lcm of their
+periods.  The phi(r**b) units of order r**b in the r-part of the cyclic
+group mod p have period o(r, b) = ord_{r**b}(e), so each side's periods
+are counted one prime power of p - 1 (or q - 1) at a time, in small
+{period: count} maps merged by lcm, and the other side's units are merged
+in the same way.  Every key divides K = k_max, so the census makes at
+most d(K) lcms per r**b, with no Mobius inversion and no pair loop.
 
 Two counting-formula corrections are baked in (see the docstrings of
 ``roots_of_unity_count`` and ``exact_quasi_order_count``): the unit
@@ -17,12 +19,10 @@ regression-tested against brute force.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 from math import gcd, lcm, prod
-from operator import mul, sub
 
 from . import arith
 from .arith import Factorization
@@ -44,9 +44,9 @@ __all__ = [
     "DIVISOR_BUDGET",
 ]
 
-# Most divisors of k a census transform may build its lattice on: a CLI census
-# of 1,179,648 divisors took 15 s and 0.7 GB (2 vCPU, CPython 3.11), about
-# linear in the count.
+# Most divisors of k a count may merge over: at d(K) = 1,179,648 a census
+# peaks at 170 MB and a CLI census in JSON at 649 MB, most of it the render,
+# in 4.8 s (2 vCPU, CPython 3.11), about linear in d(K).
 DIVISOR_BUDGET = 1 << 20
 
 
@@ -126,59 +126,53 @@ def _orders(inst: RsaInstance) -> tuple[dict[int, tuple[int, ...]], tuple, Facto
     return orders, sides, Factorization(k_factors, prod(s**j for s, j in k_factors))
 
 
-def _unit_gcd(orders: dict[int, tuple[int, ...]], f: Factorization, d: int) -> int:
-    # gcd(e**d - 1, x - 1) for f = x - 1 factored: per r**c || x - 1, the
-    # factor r**b with b the largest exponent up to c such that o(r, b) | d.
-    g = 1
-    for r, b in f.factors:
-        while d % orders[r][b]:
-            b -= 1
-        g *= r**b
-    return g
-
-
-def _invert(f: Factorization, cumulative: Iterable[int]) -> list[int]:
-    # exact(d) from cumulative(d) = the sum of exact(c) over c | d, for the
-    # d | f.value in arith._divisor_lattice order.  Per prime r**a of stride s,
-    # each d with r | d takes away the old value at d / r, s places back: by
-    # blocks of s * (a + 1) or by strided columns, whichever are fewer.
-    h = list(cumulative)
-    n = s = len(h)
-    for _, a in f.factors:
-        s //= a + 1
-        b = s * (a + 1)
-        if s * a < n // b:
-            for o in range(b - 1, s - 1, -1):
-                h[o::b] = map(sub, h[o::b], h[o - s :: b])
-        else:
-            for i in range(0, n, b):
-                h[i + s : i + b] = map(sub, h[i + s : i + b], h[i : i + b - s])
+def _period_histogram(inst: RsaInstance, i: int, k: int, h: dict[int, int] | None = None) -> dict[int, int]:
+    # h, {1: 1} by default, lcm-merged with the units mod x (side i of inst) of
+    # period dividing k: per r**c || x - 1, phi(r**b) units of order r**b and of
+    # period o(r, b) for b = 1..c, where o(r, b) | o(r, b + 1), so the first b
+    # with o(r, b) not dividing k ends the list.  Every key divides k, so a map
+    # holds at most d(k) keys and a merge costs at most d(k) steps per b.
+    orders, sides, _ = _orders(inst)
+    h = {1: 1} if h is None else h
+    for r, c in sides[i][1].factors:
+        dist, w = {}, r - 1
+        for o in orders[r][1 : c + 1]:
+            if k % o:
+                break
+            dist[o] = dist.get(o, 0) + w
+            w *= r
+        merged = h.copy()
+        for t, w in dist.items():
+            for s, n in h.items():
+                u = lcm(s, t)
+                merged[u] = merged.get(u, 0) + n * w
+        h = merged
     return h
 
 
-def _invert_at(k: int, cumulative: Callable[[int], int]) -> int:
-    # exact(k) from the cumulative function, evaluated at each d | k; k is last.
-    f = arith.factorize(k)
-    return _invert(f, map(cumulative, arith._divisor_lattice(f)))[-1]
-
-
-def _period_counts(inst: RsaInstance, f: Factorization) -> tuple[list[int], list[int], list[int]]:
-    # The divisors d of f.value in lattice order, with T_d and E_d at each:
-    # inversions of g_p g_q and (g_p + 1)(g_q + 1).  g_x(d) depends on d only
-    # through gcd(d, K_x), K_x = ord_{x-1}(e), so _unit_gcd runs once per value.
-    # d(f.value) = prod(a + 1) is held to DIVISOR_BUDGET before the lattice.
-    orders, sides, k_max = _orders(inst)
-    if (d := prod(a + 1 for _, a in f.factors)) > DIVISOR_BUDGET:
-        name = "d(K)" if f == k_max else f"d({f.value})"
+def _exact_counts(inst: RsaInstance, k: int) -> tuple[dict[int, int], Counter]:
+    # (T, E): the units and the residues of each period dividing k that occurs.
+    # T lcm-merges the smaller of H_p and H_q (fewer steps) with the other
+    # side's units; E adds the residues with a zero component, H_p and H_q, and
+    # 0 itself.  A k that does not divide K is no period, so it gets empty maps
+    # without factoring k, which may be large and hard to factor; otherwise
+    # d(k), over K's primes, is held to DIVISOR_BUDGET before any merge.
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    _, _, k_max = _orders(inst)
+    if k_max.value % k:
+        return {}, Counter()
+    d = prod(next(b for b in range(a, -1, -1) if k % r**b == 0) + 1 for r, a in k_max.factors)
+    if d > DIVISOR_BUDGET:
+        name = "d(K)" if k == k_max.value else f"d({k})"
         raise CapExceededError(d, DIVISOR_BUDGET, f"divisor count {name} =", "the census budget")
-    divs, gs = arith._divisor_lattice(f), []
-    for _, fx, _ in sides:
-        cs = list(map(gcd, divs, repeat(lcm(*(orders[r][c] for r, c in fx.factors)))))
-        table = {c: _unit_gcd(orders, fx, c) for c in set(cs)}
-        gs.append(list(map(table.__getitem__, cs)))
-    gp, gq = gs
-    units = _invert(f, map(mul, gp, gq))
-    return divs, units, _invert(f, map(mul, map((1).__add__, gp), map((1).__add__, gq)))
+    hs = [_period_histogram(inst, i, k) for i in (0, 1)]
+    i = len(hs[1]) < len(hs[0])
+    units = _period_histogram(inst, 1 - i, k, hs[i])
+    alls = Counter({1: 1})
+    for h in (units, *hs):
+        alls.update(h)
+    return units, alls
 
 
 def _unit_root_count_prime_power(r: int, p: int, a: int) -> int:
@@ -209,42 +203,28 @@ def cumulative_unit_fixed_count(inst: RsaInstance, k: int) -> int:
     Counts units of period dividing k, i.e. the divisor-sum of the exact
     counts; gcd(0, m) = m makes this total at e = 1.
     """
-    orders, sides, _ = _orders(inst)
-    return prod(_unit_gcd(orders, f, k) for _, f, _ in sides)
-
-
-def _period_counts_at(inst: RsaInstance, k: int) -> tuple[int, int]:
-    # (T_k, E_k); a k that does not divide k_max is no period, so it gets
-    # (0, 0) without factoring k, which may be large and hard to factor.
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    _, _, k_max = _orders(inst)
-    if k_max.value % k:
-        return 0, 0
-    # k factored over K's primes, with no search.
-    exps = ((r, next(b for b in range(a, -1, -1) if k % r**b == 0)) for r, a in k_max.factors)
-    _, units, alls = _period_counts(inst, Factorization(tuple([(r, b) for r, b in exps if b]), k))
-    return units[-1], alls[-1]
+    return prod(sum(_period_histogram(inst, i, k).values()) for i in (0, 1))
 
 
 def exact_order_unit_count(inst: RsaInstance, k: int) -> int:
     """Units of exact period k under x -> x**e; 0 when k does not divide k_max."""
-    return _period_counts_at(inst, k)[0]
+    return _exact_counts(inst, k)[0].get(k, 0)
 
 
 def exact_order_all_count(inst: RsaInstance, k: int) -> int:
     """Residues in all of Z_n with exact period k.
 
-    Mobius inversion of (gcd(e**d - 1, p-1) + 1)(gcd(e**d - 1, q-1) + 1):
-    per prime the solutions of x**(e**d) = x are the units of order
-    dividing e**d - 1 plus the single zero residue.
+    Counted per side, one prime power of p - 1 or q - 1 at a time, and
+    the sides merged by lcm, keeping only the periods that divide k.
     """
-    return _period_counts_at(inst, k)[1]
+    return _exact_counts(inst, k)[1].get(k, 0)
 
 
 def elements_of_order_count(f: Factorization, r: int) -> int:
-    """|{x in Z_n*: ord_n(x) = r}| via inversion of the root counts."""
-    return _invert_at(r, lambda d: roots_of_unity_count(d, f))
+    """|{x in Z_n*: ord_n(x) = r}|: the product over s**j || r of the
+    R(s**j) - R(s**(j-1)) units of order s**j, R = ``roots_of_unity_count``."""
+    R = roots_of_unity_count
+    return prod(R(s**j, f) - R(s ** (j - 1), f) for s, j in arith.factorize(r).factors)
 
 
 def poly_fixed_count(d: int, f: Factorization) -> int:
@@ -270,11 +250,20 @@ def exact_quasi_order_count(f: Factorization, r: int) -> int:
     are indexed by L = r - 1, and inverting over divisors of r produces
     negative values, e.g. -11 at n = 15, r = 2) gives
 
-        sum over L | r-1 of mu((r-1)/L) * poly_fixed_count(L + 1, f).
+        sum over L | r-1 of mu((r-1)/L) * poly_fixed_count(L + 1, f),
+
+    whose nonzero terms are the 2**omega(r - 1) squarefree d = (r-1)/L.
+    Raises CapExceededError when that count exceeds DIVISOR_BUDGET.
     """
     if r < 2:
         raise ValueError(f"r must be >= 2, got {r}")
-    return _invert_at(r - 1, lambda L: poly_fixed_count(L + 1, f))
+    primes = [s for s, _ in arith.factorize(r - 1).factors]
+    if (count := 1 << len(primes)) > DIVISOR_BUDGET:
+        raise CapExceededError(count, DIVISOR_BUDGET, f"squarefree divisor count of {r - 1} =", "the census budget")
+    terms = [(1, 1)]  # (d, mu(d))
+    for s in primes:
+        terms += [(d * s, -mu) for d, mu in terms]
+    return sum(mu * poly_fixed_count((r - 1) // d + 1, f) for d, mu in terms)
 
 
 def max_period(inst: RsaInstance) -> int:
@@ -286,7 +275,9 @@ def max_period(inst: RsaInstance) -> int:
 def full_census(inst: RsaInstance) -> ExactOrderCensus:
     """Evaluate the exact-period counts at every divisor of k_max."""
     _, _, k_max = _orders(inst)
-    divs, units, alls = _period_counts(inst, k_max)
-    order = sorted(range(len(divs)), key=divs.__getitem__)
-    keys, units, alls = (list(map(h.__getitem__, order)) for h in (divs, units, alls))
-    return ExactOrderCensus(k_max.value, dict(zip(keys, units)), dict(zip(keys, alls)))
+    units, alls = _exact_counts(inst, k_max.value)
+    all_counts = dict.fromkeys(sorted(arith._divisor_lattice(k_max)), 0)
+    unit_counts = all_counts.copy()
+    unit_counts.update(units)
+    all_counts.update(alls)
+    return ExactOrderCensus(k_max.value, unit_counts, all_counts)

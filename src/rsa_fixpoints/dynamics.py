@@ -92,8 +92,8 @@ def _period_products(inst: RsaInstance, k: int) -> tuple[list[tuple[list[int], l
     # P, B mod Q), with (P, Q) = (p, q) or (q, p), whichever gives fewer A
     # residues times Q.  x has the lcm of its components' periods.
     P, Q = inst.p, inst.q
-    orders, sides, _ = census._orders(inst)
-    ms = [census._unit_gcd(orders, f, k) for _, f, _ in sides]
+    # m = gcd(e**k - 1, x - 1): the units mod x of period dividing k.
+    ms = [sum(census._period_histogram(inst, i, k).values()) for i in (0, 1)]
     classes_a, classes_b = (_residues_by_period(inst, i, m) for i, m in enumerate(ms))
     links = [[lcm(s, t) == k for t, _ in classes_b] for s, _ in classes_a]
     used_a = sum(len(xs) for (_, xs), row in zip(classes_a, links) if any(row))

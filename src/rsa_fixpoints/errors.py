@@ -22,7 +22,7 @@ class FactoringError(Exception):
 
 class CapExceededError(Exception):
     """An enumeration would produce more results than the caller's cap, or a
-    census would build a divisor lattice above its budget."""
+    count would run over more divisors than the census budget allows."""
 
     def __init__(self, count: int, cap: int, what: str = "result count", limit: str = "cap"):
         self.count = count

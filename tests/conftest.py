@@ -1,12 +1,14 @@
 """Shared helpers: instance grids, deterministic exponent sampling, the
 reference arithmetic the library is checked against (divisors, Euler phi,
-Mobius, CRT, the classic order search), and the literal iteration and
-brute-force period walk used as ground truth."""
+Mobius, CRT, the classic order search, the paper's Mobius inversion over
+the divisor lattice), and the literal iteration and brute-force period
+walk used as ground truth."""
 
 from __future__ import annotations
 
 import random
 from math import gcd, lcm, prod
+from operator import sub
 
 from rsa_fixpoints import arith, census
 
@@ -114,9 +116,49 @@ def _gcd_pow_minus_one(e: int, k: int, m: int) -> int:
     return gcd((pow(e, k, m) - 1) % m, m)
 
 
+def invert(f: arith.Factorization, cumulative) -> list[int]:
+    """exact(d) from cumulative(d) = the sum of exact(c) over c | d, for the
+    d | f.value in ``arith._divisor_lattice`` order (first prime fastest).
+
+    Per prime r**a of stride s, each d with r | d takes away the old value at
+    d / r, s places back: by blocks of s * (a + 1) or by strided columns,
+    whichever are fewer.
+    """
+    h = list(cumulative)
+    n = s = len(h)
+    for _, a in reversed(f.factors):
+        s //= a + 1
+        b = s * (a + 1)
+        if s * a < n // b:
+            for o in range(b - 1, s - 1, -1):
+                h[o::b] = map(sub, h[o::b], h[o - s :: b])
+        else:
+            for i in range(0, n, b):
+                h[i + s : i + b] = map(sub, h[i + s : i + b], h[i : i + b - s])
+    return h
+
+
+def invert_at(k: int, cumulative) -> int:
+    """exact(k) from the cumulative function, evaluated at each d | k."""
+    f = arith.factorize(k)
+    return invert(f, map(cumulative, arith._divisor_lattice(f)))[-1]
+
+
+def lattice_census(inst: census.RsaInstance) -> tuple[dict[int, int], dict[int, int]]:
+    """(T, E) at every divisor of K, ascending, by the paper's inversion of
+    g_p(d) g_q(d) and (g_p(d) + 1)(g_q(d) + 1), g_x(d) = gcd(e**d - 1, x - 1)."""
+    f = arith.factorize(census.max_period(inst))
+    divs = arith._divisor_lattice(f)
+    gs = [[_gcd_pow_minus_one(inst.e, d, x - 1) for d in divs] for x in (inst.p, inst.q)]
+    units = invert(f, [a * b for a, b in zip(*gs)])
+    alls = invert(f, [(a + 1) * (b + 1) for a, b in zip(*gs)])
+    order = sorted(range(len(divs)), key=divs.__getitem__)
+    return {divs[i]: units[i] for i in order}, {divs[i]: alls[i] for i in order}
+
+
 def per_prime_exact_order_count(prime: int, e: int, k: int) -> int:
     """Units mod an odd prime with exact period k under x -> x**e."""
-    return census._invert_at(k, lambda d: _gcd_pow_minus_one(e, d, prime - 1))
+    return invert_at(k, lambda d: _gcd_pow_minus_one(e, d, prime - 1))
 
 
 def iterate_power_map(x: int, inst: census.RsaInstance, steps: int) -> int:

@@ -1,4 +1,5 @@
 import random
+import time
 from math import gcd, lcm, prod
 
 import pytest
@@ -7,8 +8,12 @@ from conftest import (
     carmichael_lambda,
     divisors,
     euler_phi,
+    invert,
+    invert_at,
+    lattice_census,
     mobius,
     multiplicative_order,
+    odd_primes_upto,
     per_prime_exact_order_count,
     sample_exponents,
     semiprime_pairs,
@@ -409,17 +414,24 @@ def test_invert_helper_cases(k):
     f = factorize(k)
     divs = arith._divisor_lattice(f)
     assert sorted(divs) == divisors(f) and divs[-1] == k
-    assert census._invert(f, list(divs)) == [euler_phi(factorize(d)) for d in divs]
-    assert census._invert(f, [5] * len(divs)) == [5 if d == 1 else 0 for d in divs]
-    squares = census._invert(f, [c * c for c in divs])
+    assert invert(f, list(divs)) == [euler_phi(factorize(d)) for d in divs]
+    assert invert(f, [5] * len(divs)) == [5 if d == 1 else 0 for d in divs]
+    squares = invert(f, [c * c for c in divs])
     assert squares == [_literal_inversion(lambda c: c * c, d) for d in divs]
+
+
+BIG_64 = (12792783115444427129, 13143893440431103967, 3)
+
+# p - 1 and q - 1 are products of primes below 120, drawn by a seeded search
+# for d(K) >= 3 * 10**5 with at least 8 * 10**6 pairs of unit periods.
+SMOOTH_128 = (197616663239849237535513726019150957183, 322213434309879116516078883102923599399, 65537)
 
 
 def test_full_census_64_bit_instance():
     # p - 1 and q - 1 are smooth, so K has 11,520 divisors and one Mobius
-    # sum per k would take 2 * 3,936,600 terms; the lattice transform
-    # needs 11,520 evaluations and a pass per prime of K.
-    inst = make_instance(12792783115444427129, 13143893440431103967, 3)
+    # sum per k would take 2 * 3,936,600 terms; the merge of per-prime
+    # period maps touches at most 11,520 keys per prime power.
+    inst = make_instance(*BIG_64)
     assert inst.p.bit_length() == inst.q.bit_length() == 64
     cen = full_census(inst)
     assert len(cen.all_counts) >= 10_000
@@ -428,3 +440,70 @@ def test_full_census_64_bit_instance():
     assert sum(cen.unit_counts.values()) == inst.phi
     for k in cen.all_counts:
         assert cen.all_counts[k] % k == 0 and cen.unit_counts[k] % k == 0
+
+
+def test_census_matches_the_lattice_inversion():
+    # The merge against the paper's inversion over the divisor lattice of K
+    # (conftest.lattice_census): the census, key order included, and the
+    # single-k counts, on the sample grid and the 64-bit instance.
+    for inst in [*_quick_grid(), make_instance(*BIG_64)]:
+        cen = full_census(inst)
+        units, alls = lattice_census(inst)
+        assert (list(cen.unit_counts.items()), list(cen.all_counts.items())) == (
+            list(units.items()),
+            list(alls.items()),
+        ), inst
+        for k in list(alls)[:: max(1, len(alls) // 300)]:
+            assert exact_order_unit_count(inst, k) == units[k], (inst, k)
+            assert exact_order_all_count(inst, k) == alls[k], (inst, k)
+
+
+def test_census_merge_has_no_pair_loop():
+    # Two smooth 128-bit sides: a loop over pairs of unit periods, one from
+    # each side, would take |H_p| * |H_q| >= 8 * 10**6 steps; the merge of
+    # per-prime maps stays within d(K) keys per step.
+    inst = make_instance(*SMOOTH_128)
+    assert inst.p.bit_length() == inst.q.bit_length() == 128
+    k_max = max_period(inst)
+    hp, hq = (census._period_histogram(inst, i, k_max) for i in (0, 1))
+    assert len(hp) * len(hq) >= 8 * 10**6
+    start = time.perf_counter()
+    cen = full_census(inst)
+    assert time.perf_counter() - start < 2.0
+    assert len(cen.all_counts) >= 3 * 10**5
+    assert sum(cen.all_counts.values()) == inst.n
+    assert sum(cen.unit_counts.values()) == inst.phi
+    assert all(e_k % k == 0 for k, e_k in cen.all_counts.items())
+
+
+def test_element_and_quasi_order_counts_match_the_inversion():
+    # The closed forms against the inversion of the root and fixed-point
+    # counts over the divisor lattice of r (or r - 1), on random (n, r).
+    rng = random.Random("element-quasi")
+    for _ in range(600):
+        f = factorize(rng.randrange(2, 10**6))
+        r = rng.randrange(1, 5000)
+        assert elements_of_order_count(f, r) == invert_at(r, lambda d: roots_of_unity_count(d, f)), (f, r)
+        if r >= 2:
+            expected = invert_at(r - 1, lambda L: poly_fixed_count(L + 1, f))
+            assert exact_quasi_order_count(f, r) == expected, (f, r)
+
+
+def test_element_and_quasi_order_counts_stay_small_on_a_primorial(monkeypatch):
+    # r = the product of the 29 primes below 110 has d(r) = 2**29 divisors.
+    # The element count takes one root count per prime of r; the quasi-order
+    # count at r + 1 has 2**29 squarefree terms, past DIVISOR_BUDGET, and
+    # refuses before its first term.
+    r = prod(odd_primes_upto(110)) * 2
+    f35 = factorize(35)
+    start = time.perf_counter()
+    assert elements_of_order_count(f35, r) == 0
+
+    def no_term(*args):
+        raise AssertionError("a term was evaluated above the budget")
+
+    monkeypatch.setattr(census, "poly_fixed_count", no_term)
+    with pytest.raises(CapExceededError) as exc:
+        exact_quasi_order_count(f35, r + 1)
+    assert (exc.value.count, exc.value.cap) == (2**29, census.DIVISOR_BUDGET)
+    assert time.perf_counter() - start < 1.0
