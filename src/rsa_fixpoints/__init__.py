@@ -8,7 +8,6 @@ from .arith import Factorization, factorize, is_prime
 from .census import (
     ExactOrderCensus,
     RsaInstance,
-    cumulative_unit_fixed_count,
     elements_of_order_count,
     exact_order_all_count,
     exact_order_unit_count,

@@ -19,7 +19,6 @@ regression-tested against brute force.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm, prod
@@ -33,7 +32,6 @@ __all__ = [
     "ExactOrderCensus",
     "make_instance",
     "roots_of_unity_count",
-    "cumulative_unit_fixed_count",
     "exact_order_unit_count",
     "exact_order_all_count",
     "elements_of_order_count",
@@ -44,9 +42,9 @@ __all__ = [
     "DIVISOR_BUDGET",
 ]
 
-# Most divisors of k a count may merge over: at d(K) = 1,179,648 a census
-# peaks at 170 MB and a CLI census in JSON at 649 MB, most of it the render,
-# in 4.8 s (2 vCPU, CPython 3.11), about linear in d(K).
+# Most divisors of k a count may merge over: at d(K) = 589,824 a census
+# peaks at 90 MB and a CLI census in JSON at 292 MB, most of it the render,
+# in 3-4 s (ru_maxrss; 2 vCPU, CPython 3.11), about linear in d(K).
 DIVISOR_BUDGET = 1 << 20
 
 
@@ -150,7 +148,7 @@ def _period_histogram(inst: RsaInstance, i: int, k: int, h: dict[int, int] | Non
     return h
 
 
-def _exact_counts(inst: RsaInstance, k: int) -> tuple[dict[int, int], Counter]:
+def _exact_counts(inst: RsaInstance, k: int) -> tuple[dict[int, int], dict[int, int]]:
     # (T, E): the units and the residues of each period dividing k that occurs.
     # T lcm-merges the smaller of H_p and H_q (fewer steps) with the other
     # side's units; E adds the residues with a zero component, H_p and H_q, and
@@ -161,7 +159,7 @@ def _exact_counts(inst: RsaInstance, k: int) -> tuple[dict[int, int], Counter]:
         raise ValueError(f"k must be >= 1, got {k}")
     _, _, k_max = _orders(inst)
     if k_max.value % k:
-        return {}, Counter()
+        return {}, {}
     d = prod(next(b for b in range(a, -1, -1) if k % r**b == 0) + 1 for r, a in k_max.factors)
     if d > DIVISOR_BUDGET:
         name = "d(K)" if k == k_max.value else f"d({k})"
@@ -169,9 +167,11 @@ def _exact_counts(inst: RsaInstance, k: int) -> tuple[dict[int, int], Counter]:
     hs = [_period_histogram(inst, i, k) for i in (0, 1)]
     i = len(hs[1]) < len(hs[0])
     units = _period_histogram(inst, 1 - i, k, hs[i])
-    alls = Counter({1: 1})
-    for h in (units, *hs):
-        alls.update(h)
+    alls = dict(units)
+    alls[1] += 1
+    for h in hs:
+        for s, n in h.items():
+            alls[s] = alls.get(s, 0) + n
     return units, alls
 
 
@@ -195,15 +195,6 @@ def roots_of_unity_count(r: int, f: Factorization) -> int:
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     return prod(_unit_root_count_prime_power(r, p, a) for p, a in f.factors)
-
-
-def cumulative_unit_fixed_count(inst: RsaInstance, k: int) -> int:
-    """|{x in Z_n*: x**(e**k) = x}| = gcd(e**k - 1, p-1) * gcd(e**k - 1, q-1).
-
-    Counts units of period dividing k, i.e. the divisor-sum of the exact
-    counts; gcd(0, m) = m makes this total at e = 1.
-    """
-    return prod(sum(_period_histogram(inst, i, k).values()) for i in (0, 1))
 
 
 def exact_order_unit_count(inst: RsaInstance, k: int) -> int:

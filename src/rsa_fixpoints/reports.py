@@ -1,7 +1,9 @@
 """Deterministic report objects and every output layout (JSON / CSV / table / lines).
 
 JSON output is byte-stable: fixed key order, two-space indent, one
-trailing newline.  Integers whose magnitude exceeds 2**53 are emitted
+trailing newline.  A container of plain ints (a census map keyed by k, a
+list of points) is written by one %-template for the whole body, and the
+lines layout likewise.  Integers whose magnitude exceeds 2**53 are emitted
 as decimal strings so consumers with double-precision JSON numbers
 cannot silently corrupt them; rationals are exact {"num", "den"} pairs
 in lowest terms, never floats.
@@ -13,6 +15,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from . import census as census_mod
@@ -118,39 +121,46 @@ def encode_int(v: int):
 
 
 def _json(v, pad: str) -> str:
-    # v as json.dumps(v, indent=2) writes it at the depth of pad: a nonempty
-    # container joined once, with no call for its int items; json.dumps the rest.
+    # v as json.dumps(v, indent=2) writes it at the depth of pad.  A nonempty
+    # container of plain ints (a dict's keys and values, a list's items; no
+    # bools) is one %-format of a row per item, as census maps and point lists
+    # are.  Any other is joined once, an int item as str(x) and a key as
+    # json.dumps writes an int or str key; json.dumps writes the rest.
     if not v or not isinstance(v, (dict, list, tuple)):
         return json.dumps(v)
     inner = pad + "  "
+    sep = ",\n" + inner
     is_dict = isinstance(v, dict)
-    items = [str(x) if type(x) is int else _json(x, inner) for x in (v.values() if is_dict else v)]
-    if is_dict:
-        items = map("{}: {}".format, map(encode_basestring_ascii, v), items)
-    body = inner + (",\n" + inner).join(items) + "\n" + pad
-    return "{\n" + body + "}" if is_dict else "[\n" + body + "]"
+    if ({*map(type, v), *map(type, v.values())} if is_dict else set(map(type, v))) == {int}:
+        flat = tuple(chain.from_iterable(v.items())) if is_dict else tuple(v)
+        body = sep.join(['"%d": %d' if is_dict else "%d"] * len(v)) % flat
+    else:
+        items = [str(x) if type(x) is int else _json(x, inner) for x in (v.values() if is_dict else v)]
+        if is_dict:
+            items = map("{}: {}".format, map(encode_basestring_ascii, map(str, v)), items)
+        body = sep.join(items)
+    return ("{\n" if is_dict else "[\n") + inner + body + "\n" + pad + ("}" if is_dict else "]")
 
 
 def render_json(payload: dict) -> str:
-    """``json.dumps(payload, indent=2) + "\\n"``, byte for byte, joined per container."""
+    """``json.dumps(payload, indent=2) + "\\n"``, byte for byte, written per container."""
     return _json(payload, "") + "\n"
 
 
-def census_to_json_dict(cen: ExactOrderCensus) -> dict:
+def _census_payload(cen: ExactOrderCensus) -> dict:
+    # The census maps as they are, int keys and all, for _json's template.
     # Counts are >= 0 and T_k <= E_k <= n, so the largest E_k decides
     # whether any count needs encode_int; most censuses need no call.
-    wide = max(cen.all_counts.values(), default=0) > JSON_SAFE_INT
+    maps = {"unit_counts": cen.unit_counts, "all_counts": cen.all_counts}
+    if max(cen.all_counts.values(), default=0) > JSON_SAFE_INT:
+        maps = {name: {k: encode_int(v) for k, v in m.items()} for name, m in maps.items()}
+    return {"k_max": encode_int(cen.k_max), **maps}
 
-    def counts(m: dict[int, int]) -> dict:
-        if wide:
-            return {str(k): encode_int(v) for k, v in m.items()}
-        return {str(k): v for k, v in m.items()}
 
-    return {
-        "k_max": encode_int(cen.k_max),
-        "unit_counts": counts(cen.unit_counts),
-        "all_counts": counts(cen.all_counts),
-    }
+def census_to_json_dict(cen: ExactOrderCensus) -> dict:
+    """The census as ``json.loads`` reads its JSON back, keyed by str(k)."""
+    d = _census_payload(cen)
+    return {**d, **{name: {str(k): v for k, v in d[name].items()} for name in ("unit_counts", "all_counts")}}
 
 
 def census_from_json_dict(d: dict) -> ExactOrderCensus:
@@ -170,7 +180,7 @@ def audit_to_json_dict(report: AuditReport) -> dict:
     return {
         "instance": instance_to_json_dict(report.instance),
         "k_max": encode_int(report.k_max),
-        "census": census_to_json_dict(report.census),
+        "census": _census_payload(report.census),
         "weak_fraction": {
             str(b): {"num": encode_int(fr.numerator), "den": encode_int(fr.denominator)}
             for b, fr in report.weak_fraction.items()
@@ -195,7 +205,7 @@ def _render_rows(fmt: str, title: str, header: tuple[str, ...], rows: list[tuple
 
 def render_census(cen: ExactOrderCensus, fmt: str) -> str:
     if fmt == "json":
-        return render_json(census_to_json_dict(cen))
+        return render_json(_census_payload(cen))
     rows = [(k, cen.unit_counts.get(k, 0), e_k) for k, e_k in cen.all_counts.items()]
     return _render_rows(fmt, f"k_max = {cen.k_max}", ("k", "T_k", "E_k"), rows)
 
@@ -224,7 +234,7 @@ def render_cycles(cen: ExactOrderCensus, n: int, fmt: str) -> str:
 def render_points(inst: RsaInstance, k: int, points: list[int], fmt: str) -> str:
     """Render the points of period k: one per line, or JSON with the instance."""
     if fmt == "lines":
-        return "\n".join(map(str, points)) + "\n" if points else ""
+        return ("%d\n" * len(points)) % tuple(points)
     if inst.n > JSON_SAFE_INT:  # below that, so is every point
         points = [encode_int(m) for m in points]
     payload = {

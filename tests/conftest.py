@@ -1,8 +1,8 @@
 """Shared helpers: instance grids, deterministic exponent sampling, the
 reference arithmetic the library is checked against (divisors, Euler phi,
-Mobius, CRT, the classic order search, the paper's Mobius inversion over
-the divisor lattice), and the literal iteration and brute-force period
-walk used as ground truth."""
+Mobius, CRT, the classic order search, the units fixed by x**(e**k), the
+paper's Mobius inversion over the divisor lattice), and the literal
+iteration and brute-force period walk used as ground truth."""
 
 from __future__ import annotations
 
@@ -114,6 +114,15 @@ def multiplicative_order(a: int, m: int) -> int:
 def _gcd_pow_minus_one(e: int, k: int, m: int) -> int:
     # gcd(e**k - 1, m) without forming e**k: gcd(x, m) = gcd(x mod m, m).
     return gcd((pow(e, k, m) - 1) % m, m)
+
+
+def cumulative_unit_fixed_count(inst: census.RsaInstance, k: int) -> int:
+    """|{x in Z_n*: x**(e**k) = x}| = gcd(e**k - 1, p-1) * gcd(e**k - 1, q-1).
+
+    Counts units of period dividing k, i.e. the divisor-sum of the exact
+    counts; gcd(0, m) = m makes this total at e = 1.
+    """
+    return prod(_gcd_pow_minus_one(inst.e, k, x - 1) for x in (inst.p, inst.q))
 
 
 def invert(f: arith.Factorization, cumulative) -> list[int]:

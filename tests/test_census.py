@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (
     carmichael_lambda,
+    cumulative_unit_fixed_count,
     divisors,
     euler_phi,
     invert,
@@ -22,7 +23,6 @@ from conftest import (
 from rsa_fixpoints import arith, census, oracle
 from rsa_fixpoints.arith import factorize
 from rsa_fixpoints.census import (
-    cumulative_unit_fixed_count,
     elements_of_order_count,
     exact_order_all_count,
     exact_order_unit_count,
@@ -297,6 +297,8 @@ def test_partition_of_cumulative_counts():
                 for d in divisors(factorize(k))
             )
             assert lhs == cumulative_unit_fixed_count(inst, k), (inst, k)
+            sides = [sum(census._period_histogram(inst, i, k).values()) for i in (0, 1)]
+            assert prod(sides) == lhs, (inst, k)
 
 
 def test_crt_decomposition_identity():

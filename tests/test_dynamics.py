@@ -312,7 +312,7 @@ def test_no_factoring_after_the_order_table(monkeypatch):
         return (
             [period_of_point(x, big) for x in points],
             [(census.max_period(i), census.full_census(i)) for i in (big, small)],
-            [census.cumulative_unit_fixed_count(i, k) for i in (big, small) for k in (1, 2, 6, 12)],
+            [census._period_histogram(i, j, k) for i in (big, small) for j in (0, 1) for k in (1, 2, 6, 12)],
             [enumerate_fixed_points(small, k, cap=small.n) for k in ks],
         )
 

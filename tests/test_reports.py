@@ -128,9 +128,20 @@ def test_build_audit_report_rejects_bounds_below_one():
 # Keys and strings that stress the escaping: quotes, backslashes, control
 # characters and non-ASCII text (one astral-plane character among them).
 _json_text = st.text(st.sampled_from('a"\\/\x00\x08\x1f\x7f\n\t\u00e9\u2028\U0001f600')) | st.text()
+_json_ints = st.integers(-(2**80), 2**80)
+# Int-keyed maps and int lists, as census maps and point lists are; a bool or
+# None among them must send the container off the all-int template.
+_not_int = st.booleans() | st.none()
+_int_containers = (
+    st.dictionaries(_json_ints, _json_ints, min_size=1, max_size=8)
+    | st.lists(_json_ints, min_size=1, max_size=8)
+    | st.lists(_json_ints, min_size=1, max_size=8).map(tuple)
+    | st.dictionaries(_json_ints, _json_ints | _not_int, min_size=1, max_size=8)
+    | st.lists(_json_ints | _not_int, min_size=1, max_size=8)
+)
 _json_values = st.recursive(
-    st.none() | st.booleans() | st.integers(-(2**80), 2**80) | _json_text,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_json_text, inner, max_size=4),
+    st.none() | st.booleans() | _json_ints | _json_text | _int_containers,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_json_text | _json_ints, inner, max_size=4),
     max_leaves=40,
 )
 
@@ -138,6 +149,27 @@ _json_values = st.recursive(
 @given(st.dictionaries(_json_text, _json_values, max_size=6))
 @example({})
 @example({"a": {}, "b": [], "c": [[], {}], "d": {"e": [True, False, None, -1, 2**53 + 1]}})
+@example({"a": {1: 2, -3: 2**80}, "b": [0, -2], "c": (7,), "d": {1: True, 2: 3}, "e": [1, None], "f": {1: {2: 3}}})
 @settings(max_examples=400, deadline=None)
 def test_render_json_matches_json_dumps(payload):
     assert reports.render_json(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "p, q, e, wide",
+    [
+        (4294967291, 4294967279, 65537, True),  # 32-bit p, q, d(K) = 1152: the largest E_k exceeds 2^53
+        (11217587, 14252867, 3, False),  # d(K) = 960, every count a plain int
+    ],
+)
+def test_census_json_is_json_dumps_of_the_str_keyed_payload(p, q, e, wide):
+    report = build_audit_report(make_instance(p, q, e))
+    cen = report.census
+    assert (max(cen.all_counts.values()) > 2**53) == wide and len(cen.all_counts) >= 960
+    census_payload = reports.census_to_json_dict(cen)
+    assert all(type(k) is str for name in ("unit_counts", "all_counts") for k in census_payload[name])
+    assert render_census(cen, "json") == json.dumps(census_payload, indent=2) + "\n"
+    audit_payload = {**reports.audit_to_json_dict(report), "census": census_payload}
+    rendered = render_report(report, "json")
+    assert rendered == json.dumps(audit_payload, indent=2) + "\n"
+    assert json.loads(rendered)["census"] == census_payload
