@@ -1,7 +1,7 @@
 """Fixed-point analysis of the RSA power map x -> x**e (mod pq).
 
 Closed-form counts of the points of every period, constructive
-enumeration, brute-force oracles, and an exponent-safety audit.
+enumeration, a brute-force census, and an exponent-safety audit.
 """
 
 from .arith import Factorization, factorize, is_prime
@@ -25,13 +25,8 @@ from .dynamics import (
     find_nontrivial_fixed_point,
     period_of_point,
 )
-from .errors import CapExceededError, FactoringError, LimitExceededError
-from .oracle import (
-    brute_element_orders,
-    brute_poly_fixed,
-    brute_power_map_census,
-    brute_roots_of_unity,
-)
+from .errors import CapExceededError, FactoringError
+from .oracle import brute_power_map_census
 from .reports import AuditReport, build_audit_report, render_report
 
 __version__ = "0.1.0"

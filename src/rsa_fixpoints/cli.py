@@ -16,9 +16,9 @@ import sys
 from fractions import Fraction
 
 from . import arith, census, dynamics, oracle, reports
-from .errors import CapExceededError, FactoringError, LimitExceededError
+from .errors import CapExceededError, FactoringError
 
-EXIT_CODES = {ValueError: 2, FactoringError: 3, CapExceededError: 4, LimitExceededError: 4}
+EXIT_CODES = {ValueError: 2, FactoringError: 3, CapExceededError: 4}
 
 WARN_FRACTION_ENV = "RSA_FIXPOINT_WARN_FRACTION"
 
@@ -76,7 +76,7 @@ def _resolve_instance(args) -> census.RsaInstance:
     if args.p is not None or args.q is not None:
         raise ValueError("--n cannot be combined with --p/--q")
     if n > getattr(args, "limit", n):  # refuse a scan before spending a rho budget on n
-        raise LimitExceededError(n, args.limit)
+        raise CapExceededError(n, args.limit, "modulus", "scan limit")
     f = arith.factorize(n, budget=args.factor_budget)
     if len(f.factors) != 2 or any(a != 1 for _, a in f.factors) or f.factors[0][0] == 2:
         raise ValueError(f"n = {n} is not a product of two distinct odd primes: {f.factors}")

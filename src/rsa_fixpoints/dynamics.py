@@ -93,7 +93,7 @@ def _period_products(inst: RsaInstance, k: int) -> tuple[list[tuple[list[int], l
     # residues times Q.  x has the lcm of its components' periods.
     P, Q = inst.p, inst.q
     # m = gcd(e**k - 1, x - 1): the units mod x of period dividing k.
-    ms = [sum(census._period_histogram(inst, i, k).values()) for i in (0, 1)]
+    ms = [gcd(pow(inst.e, k, x - 1) - 1, x - 1) for x in (inst.p, inst.q)]
     classes_a, classes_b = (_residues_by_period(inst, i, m) for i, m in enumerate(ms))
     links = [[lcm(s, t) == k for t, _ in classes_b] for s, _ in classes_a]
     used_a = sum(len(xs) for (_, xs), row in zip(classes_a, links) if any(row))

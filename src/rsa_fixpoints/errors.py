@@ -21,19 +21,11 @@ class FactoringError(Exception):
 
 
 class CapExceededError(Exception):
-    """An enumeration would produce more results than the caller's cap, or a
-    count would run over more divisors than the census budget allows."""
+    """An enumeration would produce more results than the caller's cap, a
+    count would run over more divisors than the census budget allows, or a
+    brute-force scan was asked to cover a modulus above its limit."""
 
     def __init__(self, count: int, cap: int, what: str = "result count", limit: str = "cap"):
         self.count = count
         self.cap = cap
         super().__init__(f"{what} {count} exceeds {limit} {cap}")
-
-
-class LimitExceededError(Exception):
-    """A brute-force scan was asked to cover a modulus above its limit."""
-
-    def __init__(self, n: int, limit: int):
-        self.n = n
-        self.limit = limit
-        super().__init__(f"modulus {n} exceeds scan limit {limit}")

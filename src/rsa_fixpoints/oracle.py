@@ -1,9 +1,8 @@
-"""Brute-force reference implementations of every count.
+"""Brute-force census of the power map, the reference behind ``oracle``.
 
-Deliberately naive: periods come from literally iterating the map,
-orders from walking powers, root counts from full scans.  Nothing here
-calls the closed-form code paths; only gcd/lcm and builtin modular
-powering are used, so these routines can arbitrate disagreements.
+Deliberately naive: periods come from literally iterating the map.
+Nothing here calls the closed-form code paths; only gcd/lcm and builtin
+modular powering are used, so the census can arbitrate disagreements.
 """
 
 from __future__ import annotations
@@ -11,15 +10,9 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from .census import ExactOrderCensus, RsaInstance
-from .errors import LimitExceededError
+from .errors import CapExceededError
 
-__all__ = [
-    "brute_power_map_census",
-    "brute_roots_of_unity",
-    "brute_element_orders",
-    "brute_poly_fixed",
-    "DEFAULT_SCAN_LIMIT",
-]
+__all__ = ["brute_power_map_census", "DEFAULT_SCAN_LIMIT"]
 
 DEFAULT_SCAN_LIMIT = 100_000
 
@@ -33,7 +26,7 @@ def brute_power_map_census(inst: RsaInstance, limit: int = DEFAULT_SCAN_LIMIT) -
     """
     n, e = inst.n, inst.e
     if n > limit:
-        raise LimitExceededError(n, limit)
+        raise CapExceededError(n, limit, "modulus", "scan limit")
     unit_counts: dict[int, int] = {}
     all_counts: dict[int, int] = {}
     visited = bytearray(n)
@@ -61,48 +54,3 @@ def brute_power_map_census(inst: RsaInstance, limit: int = DEFAULT_SCAN_LIMIT) -
         unit_counts=dict(sorted(unit_counts.items())),
         all_counts=dict(sorted(all_counts.items())),
     )
-
-
-def brute_roots_of_unity(r: int, n: int, limit: int = DEFAULT_SCAN_LIMIT) -> int:
-    """Literal scan count of x**r = 1 over 1 <= x < n."""
-    if n > limit:
-        raise LimitExceededError(n, limit)
-    return sum(1 for x in range(1, n) if pow(x, r, n) == 1)
-
-
-def brute_element_orders(n: int, limit: int = DEFAULT_SCAN_LIMIT) -> dict[int, int]:
-    """Histogram order -> count over the units mod n, by walking powers."""
-    if n > limit:
-        raise LimitExceededError(n, limit)
-    hist: dict[int, int] = {}
-    for x in range(1, n):
-        if gcd(x, n) != 1:
-            continue
-        y, d = x, 1
-        while y != 1:
-            y = y * x % n
-            d += 1
-        hist[d] = hist.get(d, 0) + 1
-    return dict(sorted(hist.items()))
-
-
-def brute_poly_fixed(n: int, d: int, limit: int = DEFAULT_SCAN_LIMIT) -> tuple[int, dict[int, int]]:
-    """Scan count of x**d = x over Z_n, plus the minimal-return histogram.
-
-    The histogram is keyed by the smallest r >= 2 with x**r = x;
-    residues that never return (possible only for non-squarefree n) are
-    absent.  Any x that returns does so by r = n + 1, so the scan is
-    conclusive.
-    """
-    if n > limit:
-        raise LimitExceededError(n, limit)
-    count = sum(1 for x in range(n) if pow(x, d, n) == x)
-    hist: dict[int, int] = {}
-    for x in range(n):
-        y, r = x * x % n, 2
-        while y != x and r <= n + 1:
-            y = y * x % n
-            r += 1
-        if y == x:
-            hist[r] = hist.get(r, 0) + 1
-    return count, dict(sorted(hist.items()))

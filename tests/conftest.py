@@ -1,8 +1,10 @@
 """Shared helpers: instance grids, deterministic exponent sampling, the
 reference arithmetic the library is checked against (divisors, Euler phi,
 Mobius, CRT, the classic order search, the units fixed by x**(e**k), the
-paper's Mobius inversion over the divisor lattice), and the literal
-iteration and brute-force period walk used as ground truth."""
+paper's Mobius inversion over the divisor lattice), and the ground truth:
+literal iteration, the brute-force period walk, and full scans for roots
+of unity (brute_roots_of_unity), element orders (brute_element_orders)
+and the solutions and minimal returns of x**d = x (brute_poly_fixed)."""
 
 from __future__ import annotations
 
@@ -200,3 +202,42 @@ def walk_periods(n: int, e: int) -> list[int]:
             period[z] = k
             visited[z] = 1
     return period
+
+
+def brute_roots_of_unity(r: int, n: int) -> int:
+    """Literal scan count of x**r = 1 over 1 <= x < n."""
+    return sum(1 for x in range(1, n) if pow(x, r, n) == 1)
+
+
+def brute_element_orders(n: int) -> dict[int, int]:
+    """Histogram order -> count over the units mod n, by walking powers."""
+    hist: dict[int, int] = {}
+    for x in range(1, n):
+        if gcd(x, n) != 1:
+            continue
+        y, d = x, 1
+        while y != 1:
+            y = y * x % n
+            d += 1
+        hist[d] = hist.get(d, 0) + 1
+    return dict(sorted(hist.items()))
+
+
+def brute_poly_fixed(n: int, d: int) -> tuple[int, dict[int, int]]:
+    """Scan count of x**d = x over Z_n, plus the minimal-return histogram.
+
+    The histogram is keyed by the smallest r >= 2 with x**r = x;
+    residues that never return (possible only for non-squarefree n) are
+    absent.  Any x that returns does so by r = n + 1, so the scan is
+    conclusive.
+    """
+    count = sum(1 for x in range(n) if pow(x, d, n) == x)
+    hist: dict[int, int] = {}
+    for x in range(n):
+        y, r = x * x % n, 2
+        while y != x and r <= n + 1:
+            y = y * x % n
+            r += 1
+        if y == x:
+            hist[r] = hist.get(r, 0) + 1
+    return count, dict(sorted(hist.items()))

@@ -21,7 +21,17 @@ from pathlib import Path
 
 import pytest
 
-from conftest import carmichael_lambda, divisors, mobius, sample_exponents, semiprime_pairs, walk_periods
+from conftest import (
+    brute_element_orders,
+    brute_poly_fixed,
+    brute_roots_of_unity,
+    carmichael_lambda,
+    divisors,
+    mobius,
+    sample_exponents,
+    semiprime_pairs,
+    walk_periods,
+)
 from rsa_fixpoints import census, dynamics, oracle
 from rsa_fixpoints.arith import factorize
 from rsa_fixpoints.census import make_instance
@@ -176,7 +186,7 @@ def test_criterion_4_completeness_and_divisibility(sweep):
 
 def test_criterion_5_two_power_root_count_regression():
     f8 = factorize(8)
-    brute = oracle.brute_roots_of_unity(2, 8)
+    brute = brute_roots_of_unity(2, 8)
     corrected = census.roots_of_unity_count(2, f8)
     # the cyclic product gcd(r, phi(2^a)) undercounts: Z/8 units are C2 x C2
     cyclic_product = prod(gcd(2, p ** (a - 1) * (p - 1)) for p, a in f8.factors)
@@ -194,7 +204,7 @@ def test_criterion_6_element_order_census():
     for n in range(2, 513):
         f = factorize(n)
         lam = carmichael_lambda(f)
-        hist = oracle.brute_element_orders(n)
+        hist = brute_element_orders(n)
         for r in range(1, lam + 1):
             assert census.elements_of_order_count(f, r) == hist.get(r, 0), (n, r)
             checked += 1
@@ -228,7 +238,7 @@ def test_criterion_7_quasi_order_census():
     for n in range(2, 513):
         f = factorize(n)
         lam = carmichael_lambda(f)
-        hist = oracle.brute_poly_fixed(n, 2)[1]
+        hist = brute_poly_fixed(n, 2)[1]
         for r in range(2, lam + 2):
             assert census.exact_quasi_order_count(f, r) == hist.get(r, 0), (n, r)
             checked += 1

@@ -5,6 +5,9 @@ from math import gcd, lcm, prod
 import pytest
 
 from conftest import (
+    brute_element_orders,
+    brute_poly_fixed,
+    brute_roots_of_unity,
     carmichael_lambda,
     cumulative_unit_fixed_count,
     divisors,
@@ -20,7 +23,7 @@ from conftest import (
     semiprime_pairs,
     walk_periods,
 )
-from rsa_fixpoints import arith, census, oracle
+from rsa_fixpoints import arith, census
 from rsa_fixpoints.arith import factorize
 from rsa_fixpoints.census import (
     elements_of_order_count,
@@ -71,7 +74,7 @@ def test_roots_of_unity_two_power_regression():
     f8 = factorize(8)
     cyclic_product = prod(gcd(2, p ** (a - 1) * (p - 1)) for p, a in f8.factors)
     assert cyclic_product == 2
-    assert roots_of_unity_count(2, f8) == 4 == oracle.brute_roots_of_unity(2, 8)
+    assert roots_of_unity_count(2, f8) == 4 == brute_roots_of_unity(2, 8)
 
 
 def test_roots_of_unity_matches_brute_scan():
@@ -79,7 +82,7 @@ def test_roots_of_unity_matches_brute_scan():
         f = factorize(n)
         lam = carmichael_lambda(f)
         for r in range(1, 2 * lam + 2):
-            assert roots_of_unity_count(r, f) == oracle.brute_roots_of_unity(r, n), (n, r)
+            assert roots_of_unity_count(r, f) == brute_roots_of_unity(r, n), (n, r)
 
 
 def test_roots_of_unity_partition_by_exact_order_to_512():
@@ -88,7 +91,7 @@ def test_roots_of_unity_partition_by_exact_order_to_512():
     for n in range(2, 513):
         f = factorize(n)
         lam = carmichael_lambda(f)
-        hist = oracle.brute_element_orders(n)
+        hist = brute_element_orders(n)
         for r in range(1, lam + 2):
             expected = sum(hist.get(d, 0) for d in divisors(factorize(r)))
             assert roots_of_unity_count(r, f) == expected, (n, r)
@@ -100,7 +103,7 @@ def test_poly_fixed_partition_by_quasi_order_to_512():
     for n in range(2, 513):
         f = factorize(n)
         lam = carmichael_lambda(f)
-        hist = oracle.brute_poly_fixed(n, 2)[1]
+        hist = brute_poly_fixed(n, 2)[1]
         for d in range(2, lam + 3):
             expected = sum(hist.get(L + 1, 0) for L in divisors(factorize(d - 1)))
             assert poly_fixed_count(d, f) == expected, (n, d)
@@ -158,7 +161,7 @@ def test_elements_of_order_matches_brute_orders():
     for n in range(2, 200):
         f = factorize(n)
         lam = carmichael_lambda(f)
-        hist = oracle.brute_element_orders(n)
+        hist = brute_element_orders(n)
         for r in range(1, lam + 1):
             assert elements_of_order_count(f, r) == hist.get(r, 0), (n, r)
 
@@ -175,7 +178,7 @@ def test_poly_fixed_matches_brute_scan():
         f = factorize(n)
         lam = carmichael_lambda(f)
         for d in range(1, lam + 2):
-            assert poly_fixed_count(d, f) == oracle.brute_poly_fixed(n, d)[0], (n, d)
+            assert poly_fixed_count(d, f) == brute_poly_fixed(n, d)[0], (n, d)
 
 
 def test_exact_quasi_order_examples():
@@ -191,7 +194,7 @@ def test_exact_quasi_order_matches_brute_histogram():
     for n in range(2, 150):
         f = factorize(n)
         lam = carmichael_lambda(f)
-        hist = oracle.brute_poly_fixed(n, 2)[1]
+        hist = brute_poly_fixed(n, 2)[1]
         for r in range(2, lam + 2):
             assert exact_quasi_order_count(f, r) == hist.get(r, 0), (n, r)
         # the histograms cover exactly the residues whose components are

@@ -123,13 +123,16 @@ def test_exit_code_factoring_failed():
 
 
 def test_exit_code_cap_and_limit():
-    for argv in (
-        ("enumerate", "--p", "5", "--q", "7", "--e", "5", "--k", "1", "--cap", "5"),
-        ("oracle", "--n", "35", "--e", "5", "--limit", "10"),
+    # --n trips the scan limit in the CLI before factoring, --p/--q in the oracle.
+    for argv, err in (
+        ("enumerate --p 5 --q 7 --e 5 --k 1 --cap 5", "error: result count 15 exceeds cap 5\n"),
+        ("oracle --n 35 --e 5 --limit 10", "error: modulus 35 exceeds scan limit 10\n"),
+        ("oracle --p 5 --q 7 --e 5 --limit 10", "error: modulus 35 exceeds scan limit 10\n"),
     ):
-        result = run_cli(*argv)
+        result = run_cli(*argv.split())
         assert result.returncode == 4, argv
         assert result.stdout == ""
+        assert result.stderr == err, argv
 
 
 def test_census_above_the_divisor_budget_exits_4_at_once(capsys):

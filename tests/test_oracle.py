@@ -3,17 +3,19 @@ from math import gcd, lcm
 
 import pytest
 
-from conftest import euler_phi, odd_primes_upto, sample_exponents
-from rsa_fixpoints import census, oracle, reports
-from rsa_fixpoints.arith import factorize
-from rsa_fixpoints.census import make_instance
-from rsa_fixpoints.errors import LimitExceededError
-from rsa_fixpoints.oracle import (
+from conftest import (
     brute_element_orders,
     brute_poly_fixed,
-    brute_power_map_census,
     brute_roots_of_unity,
+    euler_phi,
+    odd_primes_upto,
+    sample_exponents,
 )
+from rsa_fixpoints import census, reports
+from rsa_fixpoints.arith import factorize
+from rsa_fixpoints.census import make_instance
+from rsa_fixpoints.errors import CapExceededError
+from rsa_fixpoints.oracle import brute_power_map_census
 
 
 def test_brute_census_reference_instance():
@@ -39,8 +41,11 @@ def test_brute_census_k_max_matches_closed_form():
 
 
 def test_brute_census_respects_limit():
-    with pytest.raises(LimitExceededError):
+    with pytest.raises(CapExceededError) as info:
         brute_power_map_census(make_instance(5, 7, 5), limit=10)
+    exc = info.value
+    assert str(exc) == "modulus 35 exceeds scan limit 10"
+    assert (exc.count, exc.cap) == (35, 10)
 
 
 def test_return_times_are_exactly_multiples_of_period():
@@ -63,8 +68,6 @@ def test_brute_roots_of_unity_examples():
     assert brute_roots_of_unity(1, 15) == 1
     assert brute_roots_of_unity(2, 8) == 4
     assert brute_roots_of_unity(2, 15) == 4
-    with pytest.raises(LimitExceededError):
-        brute_roots_of_unity(2, 100, limit=50)
 
 
 def test_brute_element_orders_examples():
