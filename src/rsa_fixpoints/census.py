@@ -43,8 +43,8 @@ __all__ = [
 ]
 
 # Most divisors of k a count may merge over: at d(K) = 589,824 a census
-# peaks at 90 MB and a CLI census in JSON at 292 MB, most of it the render,
-# in 3-4 s (ru_maxrss; 2 vCPU, CPython 3.11), about linear in d(K).
+# peaks at 90 MB and a CLI census in JSON at 165 MB, about half of it the
+# render, in 2.3 s (ru_maxrss; 2 vCPU, CPython 3.11), about linear in d(K).
 DIVISOR_BUDGET = 1 << 20
 
 

@@ -1,9 +1,9 @@
 """Deterministic report objects and every output layout (JSON / CSV / table / lines).
 
 JSON output is byte-stable: fixed key order, two-space indent, one
-trailing newline.  A container of plain ints (a census map keyed by k, a
-list of points) is written by one %-template for the whole body, and the
-lines layout likewise.  Integers whose magnitude exceeds 2**53 are emitted
+trailing newline.  A list of plain ints (points) is written by one
+%-template, and the lines layout likewise; T_k and E_k fill one template
+of their shared keys.  Integers whose magnitude exceeds 2**53 are emitted
 as decimal strings so consumers with double-precision JSON numbers
 cannot silently corrupt them; rationals are exact {"num", "den"} pairs
 in lowest terms, never floats.
@@ -15,7 +15,6 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from . import census as census_mod
@@ -120,47 +119,57 @@ def encode_int(v: int):
     return v if -JSON_SAFE_INT <= v <= JSON_SAFE_INT else str(v)
 
 
-def _json(v, pad: str) -> str:
-    # v as json.dumps(v, indent=2) writes it at the depth of pad.  A nonempty
-    # container of plain ints (a dict's keys and values, a list's items; no
-    # bools) is one %-format of a row per item, as census maps and point lists
-    # are.  Any other is joined once, an int item as str(x) and a key as
-    # json.dumps writes an int or str key; json.dumps writes the rest.
+def _json(v, pad: str, out: list) -> None:
+    # Appends v as json.dumps(v, indent=2) writes it at the depth of pad, so a
+    # document is one "".join of out.  A nonempty list of plain ints (no bools),
+    # a point list, is one %-format; other containers write an int item by str
+    # and a key as json.dumps does.  _census_json writes a census.
+    if type(v) is ExactOrderCensus:
+        return _census_json(v, pad, out)
     if not v or not isinstance(v, (dict, list, tuple)):
-        return json.dumps(v)
-    inner = pad + "  "
+        return out.append(json.dumps(v))
+    inner, is_dict = pad + "  ", isinstance(v, dict)
     sep = ",\n" + inner
-    is_dict = isinstance(v, dict)
-    if ({*map(type, v), *map(type, v.values())} if is_dict else set(map(type, v))) == {int}:
-        flat = tuple(chain.from_iterable(v.items())) if is_dict else tuple(v)
-        body = sep.join(['"%d": %d' if is_dict else "%d"] * len(v)) % flat
-    else:
-        items = [str(x) if type(x) is int else _json(x, inner) for x in (v.values() if is_dict else v)]
+    if not is_dict and set(map(type, v)) == {int}:
+        return out.extend(("[\n", inner, sep.join(["%d"] * len(v)) % tuple(v), "\n", pad, "]"))
+    out.append(("{\n" if is_dict else "[\n") + inner)
+    for x in v:
         if is_dict:
-            items = map("{}: {}".format, map(encode_basestring_ascii, map(str, v)), items)
-        body = sep.join(items)
-    return ("{\n" if is_dict else "[\n") + inner + body + "\n" + pad + ("}" if is_dict else "]")
+            out += encode_basestring_ascii(str(x)), ": "
+            x = v[x]
+        out.append(str(x)) if type(x) is int else _json(x, inner, out)
+        out.append(sep)
+    out[-1] = "\n" + pad + ("}" if is_dict else "]")
 
 
-def render_json(payload: dict) -> str:
-    """``json.dumps(payload, indent=2) + "\\n"``, byte for byte, written per container."""
-    return _json(payload, "") + "\n"
+def _census_json(cen: ExactOrderCensus, pad: str, out: list) -> None:
+    # cen as _json writes census_to_json_dict(cen).  T_k and E_k share their
+    # keys, formatted once into a template ('"k": %s' a row) that each map
+    # fills with one % over its counts, a count beyond 2**53 quoted as
+    # encode_int has it.  A map with other keys (hand-built) formats its own.
+    inner, rows, keys = pad + "  ", ",\n    " + pad, None
+    out += "{\n", inner, '"k_max": ', json.dumps(encode_int(cen.k_max))
+    for label, m in (('"unit_counts": ', cen.unit_counts), ('"all_counts": ', cen.all_counts)):
+        if keys != (ks := tuple(m)):
+            keys, template = ks, ("{" + rows[1:] + rows.join(['"%d": %%s'] * len(ks)) + "\n" + inner + "}") % ks
+        counts = tuple(m.values())
+        if counts and not -JSON_SAFE_INT <= min(counts) <= max(counts) <= JSON_SAFE_INT:
+            counts = tuple([c if -JSON_SAFE_INT <= c <= JSON_SAFE_INT else '"%d"' % c for c in counts])
+        out += ",\n", inner, label, template % counts if counts else "{}"
+    out += "\n", pad, "}"
 
 
-def _census_payload(cen: ExactOrderCensus) -> dict:
-    # The census maps as they are, int keys and all, for _json's template.
-    # Counts are >= 0 and T_k <= E_k <= n, so the largest E_k decides
-    # whether any count needs encode_int; most censuses need no call.
-    maps = {"unit_counts": cen.unit_counts, "all_counts": cen.all_counts}
-    if max(cen.all_counts.values(), default=0) > JSON_SAFE_INT:
-        maps = {name: {k: encode_int(v) for k, v in m.items()} for name, m in maps.items()}
-    return {"k_max": encode_int(cen.k_max), **maps}
+def render_json(payload) -> str:
+    """``json.dumps(payload, indent=2) + "\\n"`` byte for byte, a census as its ``census_to_json_dict``."""
+    _json(payload, "", out := [])
+    return "".join(out + ["\n"])
 
 
 def census_to_json_dict(cen: ExactOrderCensus) -> dict:
     """The census as ``json.loads`` reads its JSON back, keyed by str(k)."""
-    d = _census_payload(cen)
-    return {**d, **{name: {str(k): v for k, v in d[name].items()} for name in ("unit_counts", "all_counts")}}
+    maps = {"unit_counts": cen.unit_counts, "all_counts": cen.all_counts}
+    str_keyed = {name: {str(k): encode_int(v) for k, v in m.items()} for name, m in maps.items()}
+    return {"k_max": encode_int(cen.k_max), **str_keyed}
 
 
 def census_from_json_dict(d: dict) -> ExactOrderCensus:
@@ -180,7 +189,7 @@ def audit_to_json_dict(report: AuditReport) -> dict:
     return {
         "instance": instance_to_json_dict(report.instance),
         "k_max": encode_int(report.k_max),
-        "census": _census_payload(report.census),
+        "census": report.census,
         "weak_fraction": {
             str(b): {"num": encode_int(fr.numerator), "den": encode_int(fr.denominator)}
             for b, fr in report.weak_fraction.items()
@@ -205,7 +214,7 @@ def _render_rows(fmt: str, title: str, header: tuple[str, ...], rows: list[tuple
 
 def render_census(cen: ExactOrderCensus, fmt: str) -> str:
     if fmt == "json":
-        return render_json(_census_payload(cen))
+        return render_json(cen)
     rows = [(k, cen.unit_counts.get(k, 0), e_k) for k, e_k in cen.all_counts.items()]
     return _render_rows(fmt, f"k_max = {cen.k_max}", ("k", "T_k", "E_k"), rows)
 

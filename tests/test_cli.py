@@ -24,6 +24,8 @@ def run_cli(*args, env=None):
 
 
 GOLDEN_INSTANCES = (("5", "7", "5"), ("11", "71", "17"))
+# d(K) = 24, zero rows, and four counts above 2^53 that JSON writes as strings.
+WIDE_INSTANCE = ("1600398721", "1988190923", "65537")
 
 
 def assert_golden(command, p, q, e, fmt):
@@ -39,6 +41,7 @@ def test_audit_matches_golden_bytes():
     for inst in GOLDEN_INSTANCES:
         for fmt in ("csv", "table"):
             assert_golden("audit", *inst, fmt)
+    assert_golden("audit", *WIDE_INSTANCE, "json")
 
 
 def test_census_matches_golden_bytes():
@@ -48,6 +51,7 @@ def test_census_matches_golden_bytes():
         assert result.stdout == (GOLDEN / name).read_text()
     for inst in GOLDEN_INSTANCES:
         assert_golden("census", *inst, "table")
+    assert_golden("census", *WIDE_INSTANCE, "json")
 
 
 def test_cycles_matches_golden_bytes():

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -129,8 +131,9 @@ def test_build_audit_report_rejects_bounds_below_one():
 # characters and non-ASCII text (one astral-plane character among them).
 _json_text = st.text(st.sampled_from('a"\\/\x00\x08\x1f\x7f\n\t\u00e9\u2028\U0001f600')) | st.text()
 _json_ints = st.integers(-(2**80), 2**80)
-# Int-keyed maps and int lists, as census maps and point lists are; a bool or
-# None among them must send the container off the all-int template.
+# Int lists, as point lists are, take the all-int template, and a bool or None
+# among them must send the list off it.  Int-keyed maps take the general path:
+# census maps reach the writer inside their ExactOrderCensus, not as dicts.
 _not_int = st.booleans() | st.none()
 _int_containers = (
     st.dictionaries(_json_ints, _json_ints, min_size=1, max_size=8)
@@ -173,3 +176,56 @@ def test_census_json_is_json_dumps_of_the_str_keyed_payload(p, q, e, wide):
     rendered = render_report(report, "json")
     assert rendered == json.dumps(audit_payload, indent=2) + "\n"
     assert json.loads(rendered)["census"] == census_payload
+
+
+# Hand-built censuses: keys up to 2^80, unit keys in the order of all_counts, in
+# another order or another set, empty maps, and counts and k_max on both sides
+# of the 2^53 line.
+_edge_counts = st.sampled_from([0, 2**53, -(2**53), 2**53 + 1, -(2**53) - 1, 2**80])
+_census_counts = _edge_counts | st.integers(-(2**80), 2**80)
+_census_maps = st.dictionaries(st.integers(-(2**80), 2**80), _census_counts, max_size=10)
+
+
+@st.composite
+def _hand_built_censuses(draw):
+    all_counts = draw(_census_maps)
+    keys = draw(
+        st.just(list(all_counts))
+        | st.permutations(list(all_counts))
+        | st.lists(st.integers(-(2**80), 2**80), unique=True, max_size=10)
+    )
+    unit_counts = {k: draw(_census_counts) for k in keys}
+    k_max = draw(_edge_counts | st.integers(0, 2**80))
+    return ExactOrderCensus(k_max=k_max, unit_counts=unit_counts, all_counts=all_counts)
+
+
+@given(_hand_built_censuses())
+@example(ExactOrderCensus(k_max=2**53 + 1, unit_counts={}, all_counts={}))
+@example(ExactOrderCensus(k_max=6, unit_counts={1: 2**53, 2: 0}, all_counts={2: -(2**53) - 1, 1: 2**80}))
+@settings(max_examples=300, deadline=None)
+def test_census_writer_matches_json_dumps_on_hand_built_censuses(cen):
+    census_payload = reports.census_to_json_dict(cen)
+    assert render_census(cen, "json") == json.dumps(census_payload, indent=2) + "\n"
+    report = dataclasses.replace(build_audit_report(make_instance(5, 7, 5)), census=cen)
+    audit_payload = {**reports.audit_to_json_dict(report), "census": census_payload}
+    assert render_report(report, "json") == json.dumps(audit_payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_census_json_render_peak_memory_is_within_a_small_multiple_of_its_output(wide):
+    # A synthetic census of 2^17 keys; wide, every other count is above 2^53.
+    keys = range(7, 7 * 2**17 + 1, 7)
+    lift = 2**60 if wide else 0
+    cen = ExactOrderCensus(
+        k_max=keys[-1],
+        unit_counts={k: k * 1009 + (lift if k % 2 else 0) for k in keys},
+        all_counts={k: k * 1013 + (lift if k % 2 else 0) for k in keys},
+    )
+    tracemalloc.start()
+    try:
+        text = render_census(cen, "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.split("\n")[3].endswith('",') == wide
+    assert peak <= 3.5 * len(text)
