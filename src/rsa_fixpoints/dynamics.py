@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, compress, count, cycle, repeat
+from itertools import accumulate, chain, compress, count, cycle, repeat
 from math import gcd, isqrt, lcm, prod
 from operator import add
 
@@ -64,49 +64,46 @@ def period_of_point(x: int, inst: RsaInstance) -> PeriodRecord:
 
 
 @lru_cache(maxsize=128)
-def _residues_by_period(inst: RsaInstance, i: int, m: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    # The x mod prime (side i of inst) with x**(m + 1) = x (m | prime - 1)
-    # grouped by their period under y -> y**e mod prime, ascending: x of
-    # order u has period ord_u(e), the lcm of o(r, v_r(u)), and x = 0 has
-    # period 1.  With h of order m, h**j has order m // gcd(j, m).
+def _residues_by_period(inst: RsaInstance, i: int, k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    # The x mod prime (side i of inst) with x**(e**k) = x by period under
+    # y -> y**e, ascending, listed as census._period_histogram counts them: per
+    # r**c || prime - 1, the units z**j (r not dividing j) of order r**b, z =
+    # g**((prime - 1) / r**b), have period o(r, b), up to the first o(r, b) not
+    # dividing k.  The lists are lcm-merged, and x = 0 has period 1.
     orders, sides, _ = census._orders(inst)
     prime, f, plan = sides[i]
     # g is the smallest generator of Z_prime*, so the order is reproducible.
     g = next(g for g in count(2) if arith._order_exponents(g, prime, plan) == dict(f.factors))
-    h = pow(g, (prime - 1) // m, prime)
-    period = {1: 1}
-    for r, a in f.factors:
-        ups = ((u * r**b, lcm(s, orders[r][b])) for u, s in period.items() for b in range(a + 1))
-        period = {u: s for u, s in ups if m % u == 0}
-    by_period: dict[int, list[int]] = {s: [] for s in sorted(set(period.values()))}
+    by_period = {1: [1]}
+    for r, c in f.factors:
+        merged = {s: list(xs) for s, xs in by_period.items()}
+        for b, o in enumerate(orders[r][1 : c + 1], 1):
+            if k % o:
+                break
+            z = pow(g, (prime - 1) // r**b, prime)
+            ys = list(accumulate(repeat(z, r**b - 1), lambda y, z: y * z % prime, initial=1))
+            del ys[::r]  # z**j with r | j has a lower order
+            for s, xs in by_period.items():
+                merged.setdefault(lcm(s, o), []).extend([x * y % prime for x in xs for y in ys])
+        by_period = merged
     by_period[1].append(0)
-    x = 1
-    for j in range(m):
-        by_period[period[m // gcd(j, m)]].append(x)
-        x = x * h % prime
-    return tuple((s, tuple(xs)) for s, xs in by_period.items())
+    return tuple((s, tuple(by_period[s])) for s in sorted(by_period))
 
 
-def _period_products(inst: RsaInstance, k: int) -> tuple[list[tuple[list[int], list[int]]], int, int]:
-    # The residues of exact period k as products A x B (A's disjoint, A mod
-    # P, B mod Q), with (P, Q) = (p, q) or (q, p), whichever gives fewer A
-    # residues times Q.  x has the lcm of its components' periods.
+def _period_products(inst: RsaInstance, k: int) -> tuple[list[tuple[tuple[int, ...], list[int]]], int, int]:
+    # The residues of exact period k as products A x B, A mod P, B mod Q: each
+    # A-class of period s (the A's are disjoint) with the B-classes of period
+    # t, lcm(s, t) = k.  (P, Q) = (p, q) or (q, p), whichever gives fewer A
+    # residues times Q.
     P, Q = inst.p, inst.q
-    # m = gcd(e**k - 1, x - 1): the units mod x of period dividing k.
-    ms = [gcd(pow(inst.e, k, x - 1) - 1, x - 1) for x in (inst.p, inst.q)]
-    classes_a, classes_b = (_residues_by_period(inst, i, m) for i, m in enumerate(ms))
+    classes_a, classes_b = (_residues_by_period(inst, i, k) for i in (0, 1))
     links = [[lcm(s, t) == k for t, _ in classes_b] for s, _ in classes_a]
     used_a = sum(len(xs) for (_, xs), row in zip(classes_a, links) if any(row))
     used_b = sum(len(xs) for (_, xs), col in zip(classes_b, zip(*links)) if any(col))
     if P * used_b < Q * used_a:
         P, Q, classes_a, classes_b, links = Q, P, classes_b, classes_a, list(zip(*links))
-    # The a-classes linked to the same b-classes share one B.
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for (_, xs), row in zip(classes_a, links):
-        linked = tuple(j for j, ok in enumerate(row) if ok)
-        if linked:
-            groups.setdefault(linked, []).extend(xs)
-    products = [(A, list(chain.from_iterable(classes_b[j][1] for j in js))) for js, A in groups.items()]
+    bs = [ys for _, ys in classes_b]
+    products = [(xs, list(chain.from_iterable(compress(bs, row)))) for (_, xs), row in zip(classes_a, links) if any(row)]
     return products, P, Q
 
 
@@ -115,17 +112,19 @@ def enumerate_fixed_points(
 ) -> list[int]:
     """All residues of exact period k, ascending.
 
-    They are products A x B of per-prime solution classes (A mod P, B mod
-    Q, {P, Q} = {p, q}), marked in a grid of rows t in [0, Q) by columns
-    a, ascending, whose cell (t, a) is x = a + P*t.  Three emitters read
-    them back: a period with 9*E_k >= 5*n takes every residue mod P as a
-    column, an n-byte mask of at most 9/5*cap bytes read by
+    They are products A x B of per-prime period classes (A mod P, B mod
+    Q, {P, Q} = {p, q}), each listed one prime power of x - 1 at a time as
+    the census counts it, and marked in a grid of rows t in [0, Q) by
+    columns a, ascending, whose cell (t, a) is x = a + P*t.  Three emitters
+    read them back: a period with 9*E_k >= 5*n takes every residue mod P as
+    a column, an n-byte mask of at most 9/5*cap bytes read by
     compress(range(n), mask); any other takes the residues of its A's and
     is read row by row, ascending with no sort, at a cost in proportion to
     its own size; one that would mark under 1/16 of that grid is CRT-paired
     and sorted.  Raises CapExceededError (carrying the count) when the
-    census says the list would exceed ``cap``; that check comes before
-    anything is allocated.
+    census says the list would exceed ``cap``, before anything is
+    allocated.  That bounds the classes too: side x lists m + 1 residues,
+    m = gcd(e**k - 1, x - 1), and m < 7.3 * E_k for p, q < 2**64.
     """
     expected = census.exact_order_all_count(inst, k)
     if expected > cap:

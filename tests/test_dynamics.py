@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (
     divisors,
+    euler_phi,
     iterate_power_map,
     multiplicative_order,
     odd_primes_upto,
@@ -160,6 +161,55 @@ def test_enumerate_matches_iteration_beyond_sweep():
     # All three emitters ran: the full-width mask (e = 1 among others), the
     # column grid read back row by row, and CRT pairing with a sort.
     assert emitters == {"mask", "grid", "sort"}
+
+
+def test_period_classes_match_literal_iteration():
+    # Each side's period classes, straight from the per-prime builder, against
+    # y -> y**e mod x iterated, for every k | K of seeded p, q < 300: class s
+    # holds only residues of period s, the classes are disjoint, and together
+    # they are the y with y**(e**k) = y mod x.
+    rng = random.Random("side-classes")
+    primes = odd_primes_upto(300)
+    for _ in range(12):
+        p, q = rng.sample(primes, 2)
+        for e in (1, *sample_exponents(lcm(p - 1, q - 1), 3, seed=f"side:{p}:{q}")):
+            inst = make_instance(p, q, e)
+            walks = [walk_periods(x, e) for x in (p, q)]
+            for k in divisors(factorize(census.max_period(inst))):
+                for i, (x, periods) in enumerate(zip((p, q), walks)):
+                    classes = dynamics._residues_by_period(inst, i, k)
+                    listed = [y for _, ys in classes for y in ys]
+                    assert all(periods[y] == s for s, ys in classes for y in ys), (inst, i, k)
+                    assert len(listed) == len(set(listed)), (inst, i, k)
+                    assert set(listed) == {y for y in range(x) if pow(y, pow(e, k, x - 1), x) == y}, (inst, i, k)
+
+
+def _check_class_bound(inst, k):
+    # E_k >= phi(m_p) * phi(m_q) when E_k > 0, m_x = gcd(e**k - 1, x - 1) the
+    # units mod x of period dividing k, and side x lists m_x + 1 residues; so
+    # m_x + 1 <= (m_x / phi(m_x)) * E_k + 1, under 7.3 * E_k + 1 below 2**64.
+    e_k = census.exact_order_all_count(inst, k)
+    ms = [gcd((pow(inst.e, k, x - 1) - 1) % (x - 1), x - 1) for x in (inst.p, inst.q)]
+    if e_k:
+        assert e_k >= euler_phi(factorize(ms[0])) * euler_phi(factorize(ms[1])), (inst, k)
+    if sum(ms) <= 10**5:
+        for i, m in enumerate(ms):
+            assert sum(len(ys) for _, ys in dynamics._residues_by_period(inst, i, k)) == m + 1, (inst, i, k)
+
+
+def test_enumeration_classes_are_bounded_by_the_count():
+    # The cap check on E_k also bounds the per-side classes enumeration builds,
+    # on the census sample grid and on 64-bit instances at small k.
+    for p, q in semiprime_pairs(1000):
+        for e in sample_exponents(lcm(p - 1, q - 1), 3, seed=p * q * 7919):
+            inst = make_instance(p, q, e)
+            for k in divisors(factorize(census.max_period(inst))):
+                _check_class_bound(inst, k)
+    for inst in [make_instance(2**64 - 59, 2**64 - 83, 65537), *_big_instances("class-bound", 3, bits=(64, 64))]:
+        k_max = census.max_period(inst)
+        for k in range(1, 61):
+            if k_max % k == 0:
+                _check_class_bound(inst, k)
 
 
 def cycle_structure(inst):
@@ -324,6 +374,9 @@ def test_no_factoring_after_the_order_table(monkeypatch):
 
     monkeypatch.setattr(arith, "factorize", no_factoring)
     assert run() == expected
+    # The period classes were rebuilt, one per side and k with E_k > 0, under the patch.
+    built = sum(2 for k in ks if census.exact_order_all_count(small, k))
+    assert dynamics._residues_by_period.cache_info().misses == built > 0
 
 
 def test_order_kernel_stays_within_the_peel_plan(monkeypatch):
