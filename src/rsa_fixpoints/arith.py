@@ -50,10 +50,11 @@ def _small_primes() -> tuple[int, ...]:
     return tuple(compress(range(_TRIAL_BOUND), sieve))
 
 
-# Smallest known base set that makes Miller-Rabin deterministic below
-# _MR_EXACT (~3.3e24), the first strong pseudoprime to all of them; from
-# there on is_prime adds a strong Lucas test (Baillie-PSW).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The primes to 47, which is_prime divides out.  The first 13 are the smallest
+# known base set that makes Miller-Rabin deterministic below _MR_EXACT
+# (~3.3e24), the first strong pseudoprime to all; beyond it, Baillie-PSW.
+_PRIMES_TO_47 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+_MR_BASES = _PRIMES_TO_47[:13]
 _MR_EXACT = 3_317_044_064_679_887_385_961_981
 
 
@@ -109,11 +110,8 @@ def _strong_lucas(n: int) -> bool:
 
 def is_prime(n: int) -> bool:
     """Miller-Rabin primality test, exact below ~3.3e24; Baillie-PSW above."""
-    if n < 53:
-        return n in {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
-        if n % p == 0:
-            return False
+    if n < 53 or any(n % p == 0 for p in _PRIMES_TO_47):
+        return n in _PRIMES_TO_47
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s

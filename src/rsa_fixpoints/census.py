@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm, prod
+from operator import mul
 
 from . import arith
 from .arith import Factorization
@@ -124,26 +125,26 @@ def _orders(inst: RsaInstance) -> tuple[dict[int, tuple[int, ...]], tuple, Facto
     return orders, sides, Factorization(k_factors, prod(s**j for s, j in k_factors))
 
 
-def _period_histogram(inst: RsaInstance, i: int, k: int, h: dict[int, int] | None = None) -> dict[int, int]:
+def _period_histogram(inst: RsaInstance, i: int, k: int, h=None, units=lambda r, b: (r - 1) * r ** (b - 1), mul=mul):
     # h, {1: 1} by default, lcm-merged with the units mod x (side i of inst) of
-    # period dividing k: per r**c || x - 1, phi(r**b) units of order r**b and of
-    # period o(r, b) for b = 1..c, where o(r, b) | o(r, b + 1), so the first b
-    # with o(r, b) not dividing k ends the list.  Every key divides k, so a map
-    # holds at most d(k) keys and a merge costs at most d(k) steps per b.
+    # period dividing k: per r**c || x - 1, units(r, b), the phi(r**b) units of
+    # order r**b (by default their count), at period o(r, b) for b = 1..c up to
+    # the first o(r, b) not dividing k, as o(r, b) | o(r, b + 1).  Classes join
+    # by + and multiply by mul.  Every key divides k: a map holds <= d(k) keys.
     orders, sides, _ = _orders(inst)
     h = {1: 1} if h is None else h
     for r, c in sides[i][1].factors:
-        dist, w = {}, r - 1
-        for o in orders[r][1 : c + 1]:
+        dist = {}
+        for b, o in enumerate(orders[r][1 : c + 1], 1):
             if k % o:
                 break
-            dist[o] = dist.get(o, 0) + w
-            w *= r
+            w = units(r, b)
+            dist[o] = dist[o] + w if o in dist else w
         merged = h.copy()
         for t, w in dist.items():
             for s, n in h.items():
-                u = lcm(s, t)
-                merged[u] = merged.get(u, 0) + n * w
+                u, v = lcm(s, t), mul(n, w)
+                merged[u] = merged[u] + v if u in merged else v
         h = merged
     return h
 

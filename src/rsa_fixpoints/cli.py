@@ -24,14 +24,15 @@ WARN_FRACTION_ENV = "RSA_FIXPOINT_WARN_FRACTION"
 
 
 def _int_arg(s: str) -> int:
-    """Nonnegative integer, decimal or 0x-prefixed hex."""
+    """Integer in [0, 10**_MAX_EXPONENT), decimal or 0x-prefixed hex; more digits go unparsed."""
+    text = s.strip().lower()
     try:
-        text = s.strip().lower()
-        value = int(text, 16) if text.startswith("0x") else int(text, 10)
+        long = len(text.replace("_", "").lstrip("+-0x")) > _MAX_EXPONENT
+        value = _INT_BOUND if long else int(text, 16) if text.startswith("0x") else int(text, 10)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {s!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative: {s!r}")
+    if not 0 <= value < _INT_BOUND:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 10**{_MAX_EXPONENT})")
     return value
 
 
@@ -49,8 +50,10 @@ def _bounds_arg(s: str) -> tuple[int, ...]:
 
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 # Fraction writes a decimal exponent out in full (1e999999999 would never
-# finish), so its magnitude is held to int()'s default digit limit.
+# finish), so its magnitude is held to int()'s default digit limit; an integer
+# argument is held below 10**_MAX_EXPONENT in either base (is_prime slows fast).
 _MAX_EXPONENT = 4300
+_INT_BOUND = 10**_MAX_EXPONENT
 
 
 def _fraction_arg(s: str) -> Fraction:

@@ -66,26 +66,22 @@ def period_of_point(x: int, inst: RsaInstance) -> PeriodRecord:
 @lru_cache(maxsize=128)
 def _residues_by_period(inst: RsaInstance, i: int, k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     # The x mod prime (side i of inst) with x**(e**k) = x by period under
-    # y -> y**e, ascending, listed as census._period_histogram counts them: per
-    # r**c || prime - 1, the units z**j (r not dividing j) of order r**b, z =
-    # g**((prime - 1) / r**b), have period o(r, b), up to the first o(r, b) not
-    # dividing k.  The lists are lcm-merged, and x = 0 has period 1.
-    orders, sides, _ = census._orders(inst)
-    prime, f, plan = sides[i]
-    # g is the smallest generator of Z_prime*, so the order is reproducible.
-    g = next(g for g in count(2) if arith._order_exponents(g, prime, plan) == dict(f.factors))
-    by_period = {1: [1]}
-    for r, c in f.factors:
-        merged = {s: list(xs) for s, xs in by_period.items()}
-        for b, o in enumerate(orders[r][1 : c + 1], 1):
-            if k % o:
-                break
-            z = pow(g, (prime - 1) // r**b, prime)
-            ys = list(accumulate(repeat(z, r**b - 1), lambda y, z: y * z % prime, initial=1))
-            del ys[::r]  # z**j with r | j has a lower order
-            for s, xs in by_period.items():
-                merged.setdefault(lcm(s, o), []).extend([x * y % prime for x in xs for y in ys])
-        by_period = merged
+    # y -> y**e, periods ascending: census._period_histogram's walk over lists
+    # of residues, multiplied pairwise mod prime, and 0 at period 1.  The units
+    # of order r**b are z**j, r not dividing j, z = y**((prime - 1) / r**b) for
+    # the smallest y that is no r-th power, so no generator is searched for.
+    prime = census._orders(inst)[1][i][0]
+
+    def units(r, b):
+        y = next(y for y in count(2) if pow(y, (prime - 1) // r, prime) != 1)
+        z = pow(y, (prime - 1) // r**b, prime)
+        ys = list(accumulate(repeat(z, r**b - 1), lambda y, z: y * z % prime, initial=1))
+        del ys[::r]  # z**j with r | j has a lower order
+        return ys
+
+    by_period = census._period_histogram(
+        inst, i, k, {1: [1]}, units, lambda xs, ys: [x * y % prime for x in xs for y in ys]
+    )
     by_period[1].append(0)
     return tuple((s, tuple(by_period[s])) for s in sorted(by_period))
 
@@ -113,8 +109,8 @@ def enumerate_fixed_points(
     """All residues of exact period k, ascending.
 
     They are products A x B of per-prime period classes (A mod P, B mod
-    Q, {P, Q} = {p, q}), each listed one prime power of x - 1 at a time as
-    the census counts it, and marked in a grid of rows t in [0, Q) by
+    Q, {P, Q} = {p, q}), which census._period_histogram lists as residues
+    by its per-prime walk, and marked in a grid of rows t in [0, Q) by
     columns a, ascending, whose cell (t, a) is x = a + P*t.  Three emitters
     read them back: a period with 9*E_k >= 5*n takes every residue mod P as
     a column, an n-byte mask of at most 9/5*cap bytes read by

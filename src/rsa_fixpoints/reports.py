@@ -15,6 +15,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 
 from . import census as census_mod
@@ -85,8 +86,8 @@ def build_audit_report(
     cen = census_mod.full_census(inst)
     k_max = cen.k_max
     bounds = sorted({*weak_bounds, warn_bound, k_max})
-    ks, es = list(cen.all_counts), list(cen.all_counts.values())  # ks ascending
-    weak = {b: Fraction(sum(es[: bisect_right(ks, b)]), inst.n) for b in bounds}
+    ks, cum = list(cen.all_counts), list(accumulate(cen.all_counts.values()))  # ks ascending from 1
+    weak = {b: Fraction(cum[bisect_right(ks, b) - 1], inst.n) for b in bounds}
     notes: list[str] = []
     if not inst.gcd_e_phi_ok:
         notes.append("gcd(e, phi(n)) != 1; only the weaker gcd(e, lambda(n)) = 1 holds")

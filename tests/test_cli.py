@@ -187,6 +187,26 @@ def test_hex_inputs_accepted():
     assert json.loads(result.stdout)["instance"]["n"] == 35
 
 
+def test_integer_arguments_of_10_to_the_4300_or_more_exit_2_at_once(capsys):
+    # int() has no digit limit in hex (nor in decimal before CPython 3.10.7),
+    # and is_prime on a 16,384-bit --p would take seconds: an integer argument
+    # of 10**4300 or more is refused before it is tested, named by the bound,
+    # and its digits are not echoed.
+    for p in ("0x" + "f" * 4096, "9" * 4301, hex(10**4300), "1" * 9000):
+        start = time.perf_counter()
+        try:
+            code = main(["census", "--p", p, "--q", "7", "--e", "5"])
+        except SystemExit as exc:  # argparse rejects the flag
+            code = exc.code
+        assert code == 2, len(p)
+        out, err = capsys.readouterr()
+        assert out == "" and "error: argument --p: must lie in [0, 10**4300)" in err
+        assert p[-50:] not in err
+        assert time.perf_counter() - start < 1.0, len(p)
+    assert cli._int_arg("9" * 4300) == cli._int_arg(hex(10**4300 - 1)) == 10**4300 - 1
+    assert cli._int_arg("0x" + "0_" * 5000 + "a") == 10  # leading zeros are no digits of the value
+
+
 def test_warn_fraction_env_override():
     import os
 

@@ -379,6 +379,31 @@ def test_no_factoring_after_the_order_table(monkeypatch):
     assert dynamics._residues_by_period.cache_info().misses == built > 0
 
 
+def test_period_classes_come_from_the_census_walk(monkeypatch):
+    # Each build of a side's classes is one census._period_histogram walk, and
+    # the units of order r**b come from an r-th power nonresidue, so the order
+    # kernel (a generator search) is never called once the order table exists.
+    inst = make_instance(1201, 1249, 65537)
+    ks = divisors(factorize(census.max_period(inst)))
+    expected = [dynamics._residues_by_period(inst, i, k) for i in (0, 1) for k in ks]
+    dynamics._residues_by_period.cache_clear()
+    walks = []
+    walk = census._period_histogram
+
+    def counted_walk(*args):
+        walks.append(args[:3])
+        return walk(*args)
+
+    def no_order_kernel(*args):
+        raise AssertionError("order kernel called while listing period classes")
+
+    monkeypatch.setattr(census, "_period_histogram", counted_walk)
+    monkeypatch.setattr(arith, "_order_exponents", no_order_kernel)
+    got = [dynamics._residues_by_period(inst, i, k) for i in (0, 1) for k in ks]
+    assert [{s: set(xs) for s, xs in c} for c in got] == [{s: set(xs) for s, xs in c} for c in expected]
+    assert walks == [(inst, i, k) for i in (0, 1) for k in ks]
+
+
 def test_order_kernel_stays_within_the_peel_plan(monkeypatch):
     # The pows of period_of_point, counted through arith.pow per modulus on
     # 64-bit instances, against the heaviest-first plan for that side: at

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -8,9 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rsa_fixpoints import reports
-from rsa_fixpoints.census import ExactOrderCensus, make_instance
+from rsa_fixpoints.census import ExactOrderCensus, full_census, make_instance
 from rsa_fixpoints.oracle import brute_power_map_census
 from rsa_fixpoints.reports import build_audit_report, encode_int, render_census, render_report
+from test_census import BIG_64
 
 
 def test_encode_int_threshold():
@@ -44,6 +46,25 @@ def test_weak_fraction_nondecreasing_and_one_at_k_max():
     values = [fr for _, fr in sorted(report.weak_fraction.items())]
     assert all(a <= b for a, b in zip(values, values[1:]))
     assert report.weak_fraction[report.k_max] == 1
+
+
+def test_weak_fractions_read_one_prefix_sum_per_bound():
+    # Every bound from 1 to K + 1 against a direct sum of E_k over k <= b, and
+    # 10,000 bounds above K on a 64-bit instance with d(K) = 11,520: one
+    # prefix sum of the census, not one sum over d(K) counts per bound.
+    inst = make_instance(11, 71, 17)
+    alls = full_census(inst).all_counts
+    bounds = tuple(range(1, max(alls) + 2))
+    report = build_audit_report(inst, weak_bounds=bounds)
+    for b in bounds:
+        assert report.weak_fraction[b] == Fraction(sum(e for k, e in alls.items() if k <= b), inst.n), b
+    big = make_instance(*BIG_64)
+    k_max = full_census(big).k_max
+    bounds = tuple(range(k_max + 1, k_max + 10_001))
+    start = time.perf_counter()
+    report = build_audit_report(big, weak_bounds=bounds)
+    assert time.perf_counter() - start < 1.0
+    assert all(report.weak_fraction[b] == 1 for b in bounds)
 
 
 def test_ok_verdict_has_empty_notes_key_present():
