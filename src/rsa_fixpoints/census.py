@@ -53,9 +53,9 @@ DIVISOR_BUDGET = 1 << 20
 class RsaInstance:
     """Validated modulus/exponent pair with derived group orders.
 
-    ``gcd_e_phi_ok`` records whether the stricter classical validity
-    condition gcd(e, phi(n)) = 1 holds; construction via
-    ``make_instance`` only requires gcd(e, lambda(n)) = 1.
+    gcd(e, phi) = 1 always holds: a prime divides phi = (p - 1)(q - 1)
+    exactly when it divides lambda = lcm(p - 1, q - 1), and
+    ``make_instance`` requires gcd(e, lambda) = 1.
     """
 
     p: int
@@ -64,7 +64,6 @@ class RsaInstance:
     e: int
     phi: int
     lam: int
-    gcd_e_phi_ok: bool
 
 
 @dataclass(frozen=True)
@@ -84,24 +83,20 @@ def make_instance(p: int, q: int, e: int) -> RsaInstance:
     """Build an RsaInstance from two distinct odd primes and an exponent.
 
     e = 1 is accepted as the degenerate identity map.  Raises ValueError
-    on non-prime p/q, p = q, e < 1, or gcd(e, lambda(n)) != 1.
+    on non-prime p/q, p = q, e < 1, or gcd(e, lambda(n)) != 1, which is
+    the classical gcd(e, phi(n)) != 1 (see ``RsaInstance``).
     """
     for name, v in (("p", p), ("q", q)):
-        if v < 3 or v % 2 == 0 or not arith.is_prime(v):
+        if v % 2 == 0 or not arith.is_prime(v):
             raise ValueError(f"{name} must be an odd prime, got {v}")
     if p == q:
         raise ValueError(f"p and q must be distinct, got {p} twice")
     if e < 1:
         raise ValueError(f"e must be >= 1, got {e}")
-    phi = (p - 1) * (q - 1)
     lam = lcm(p - 1, q - 1)
-    if gcd(e, lam) != 1:
-        raise ValueError(
-            f"gcd(e, lambda(n)) = {gcd(e, lam)} != 1; the power map is not a permutation"
-        )
-    return RsaInstance(
-        p=p, q=q, n=p * q, e=e, phi=phi, lam=lam, gcd_e_phi_ok=gcd(e, phi) == 1
-    )
+    if (g := gcd(e, lam)) != 1:
+        raise ValueError(f"gcd(e, lambda(n)) = {g} != 1; the power map is not a permutation")
+    return RsaInstance(p=p, q=q, n=p * q, e=e, phi=(p - 1) * (q - 1), lam=lam)
 
 
 @lru_cache(maxsize=1024)

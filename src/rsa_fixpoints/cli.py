@@ -26,9 +26,12 @@ WARN_FRACTION_ENV = "RSA_FIXPOINT_WARN_FRACTION"
 def _int_arg(s: str) -> int:
     """Integer in [0, 10**_MAX_EXPONENT), decimal or 0x-prefixed hex; more digits go unparsed."""
     text = s.strip().lower()
+    base = 16 if text.startswith("0x") else 10
+    # int()'s digit limit counts leading zeros; a bad underscore among them stays for int().
+    text = re.sub(r"\A([-+]?)(?:0_?)*(?=\d)", r"\1", text)
     try:
         long = len(text.replace("_", "").lstrip("+-0x")) > _MAX_EXPONENT
-        value = _INT_BOUND if long else int(text, 16) if text.startswith("0x") else int(text, 10)
+        value = _INT_BOUND if long else int(text, base)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {s!r}")
     if not 0 <= value < _INT_BOUND:

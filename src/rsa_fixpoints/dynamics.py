@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain, compress, count, cycle, repeat
+from itertools import accumulate, chain, compress, count, repeat
 from math import gcd, isqrt, lcm, prod
 from operator import add
 
@@ -143,8 +143,7 @@ def enumerate_fixed_points(
     column = cols if full else {a: j for j, a in enumerate(cols)}
     # Rows per block: ~Q / rows calls against rows * w values; the full mask is one block.
     rows = Q if full else isqrt(64 * Q // w) + 1
-    size = -(-Q // rows) * rows * w  # whole blocks; the rows past Q stay unmarked
-    grid = bytearray(size)
+    grid = bytearray(Q * w)
     for A, B in products:
         ind = bytearray(Q)
         for b in B:
@@ -152,17 +151,17 @@ def enumerate_fixed_points(
         ind *= 2  # ind[s : s + Q] is then ind rotated left by s
         for a in A:
             s = a * p_inv % Q
-            grid[column[a] : Q * w : w] = ind[s : s + Q]
+            grid[column[a] :: w] = ind[s : s + Q]
     if full:
         return list(compress(range(n), grid))
-    # Read back a block at a time: cell r*w + j of block i is cols[j] + P*r
-    # + P*rows*i, ascending in the cell, and the blocks ascend with i.
+    # Read back a block of rows at a time: cell start + j is block_cols[j] +
+    # P*(start // w), ascending in j, and the blocks ascend with start.
     block = rows * w
     block_cols = [a + P * r for r in range(rows) for a in cols]
-    starts = range(0, size, block)
-    marks_per_block = map(grid.count, repeat(1), starts, range(block, size + block, block))
-    bases = chain.from_iterable(map(repeat, range(0, size // w * P, rows * P), marks_per_block))
-    return list(map(add, compress(cycle(block_cols), grid), bases))
+    points = []
+    for start in range(0, Q * w, block):
+        points += map(add, compress(block_cols, grid[start : start + block]), repeat(start // w * P))
+    return points
 
 
 def extract_factor_from_fixed_point(m: int, n: int) -> int | None:

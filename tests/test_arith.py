@@ -23,6 +23,14 @@ def test_factorize_examples():
     assert factorize(2**6 * 3**2).factors == ((2, 6), (3, 2))
 
 
+def test_factorize_splits_squares_of_primes_above_trial_division():
+    # A cofactor that is a perfect square is split by isqrt, not by rho.
+    r = 2**31 - 1
+    assert factorize(r * r).factors == ((r, 2),)
+    assert factorize(3 * r * r).factors == ((3, 1), (r, 2))
+    assert factorize(r**4).factors == ((r, 4),)
+
+
 def test_factorize_reconstructs_and_lists_primes():
     for n in range(1, 100_001):
         f = factorize(n)

@@ -42,7 +42,7 @@ from rsa_fixpoints.errors import CapExceededError
 def test_make_instance_derives_group_orders():
     inst = make_instance(5, 7, 5)
     assert (inst.n, inst.phi, inst.lam) == (35, 24, 12)
-    assert inst.gcd_e_phi_ok
+    assert gcd(inst.e, inst.phi) == 1
 
 
 @pytest.mark.parametrize(
@@ -51,6 +51,8 @@ def test_make_instance_derives_group_orders():
         (4, 7, 5),    # p not prime
         (5, 5, 3),    # p = q
         (2, 7, 5),    # even prime rejected
+        (1, 7, 5),    # p below 3, odd and not prime
+        (-3, 7, 5),   # p negative
         (5, 7, 4),    # gcd(e, lambda) != 1
         (5, 7, 0),    # e < 1
         (5, 9, 7),    # q not prime
@@ -343,7 +345,7 @@ def test_completeness_divisibility_and_nonnegativity():
 
 def test_nine_fixed_points_bound_quick():
     for inst in _quick_grid(600):
-        if inst.e > 1 and inst.gcd_e_phi_ok:
+        if inst.e > 1:
             assert exact_order_all_count(inst, 1) >= 9, inst
 
 

@@ -8,6 +8,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -205,6 +206,21 @@ def test_integer_arguments_of_10_to_the_4300_or_more_exit_2_at_once(capsys):
         assert time.perf_counter() - start < 1.0, len(p)
     assert cli._int_arg("9" * 4300) == cli._int_arg(hex(10**4300 - 1)) == 10**4300 - 1
     assert cli._int_arg("0x" + "0_" * 5000 + "a") == 10  # leading zeros are no digits of the value
+
+
+def test_zero_padded_decimal_arguments_parse_as_their_value(capsys):
+    # int()'s decimal digit limit counts leading zeros, which are no digits of the value.
+    outputs = []
+    for p in ("7", "0" * 5000 + "7", "+" + "0" * 5000 + "7", "0x" + "0" * 5000 + "7"):
+        assert main(["census", "--p", p, "--q", "5", "--e", "5"]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0].out and all(o == outputs[0] for o in outputs)
+    # Strings int() rejects for a bad underscore still exit 2, padded or not.
+    for p in ("0__7", "0_", "7_", "0" * 5000 + "__7", "0" * 5000 + "7_", "0_" * 5000 + "_7"):
+        with pytest.raises(SystemExit) as exc:
+            main(["census", "--p", p, "--q", "5", "--e", "5"])
+        assert exc.value.code == 2, p
+        assert "error: argument --p: not an integer" in capsys.readouterr().err
 
 
 def test_warn_fraction_env_override():

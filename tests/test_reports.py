@@ -9,7 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rsa_fixpoints import reports
+from rsa_fixpoints.cli import main
 from rsa_fixpoints.census import ExactOrderCensus, full_census, make_instance
+from rsa_fixpoints.dynamics import enumerate_fixed_points
 from rsa_fixpoints.oracle import brute_power_map_census
 from rsa_fixpoints.reports import build_audit_report, encode_int, render_census, render_report
 from test_census import BIG_64
@@ -29,6 +31,23 @@ def test_big_integers_render_as_decimal_strings():
     assert payload["instance"]["n"] == str(p * q)  # n > 2^53
     assert payload["instance"]["p"] == p  # small enough to stay numeric
     assert int(payload["instance"]["phi"]) == (p - 1) * (q - 1)
+
+
+def test_points_above_2_to_the_53_render_as_decimal_strings(capsys):
+    # n > 2**53, so render_points encodes each point; E_1 of BIG_64 is 9.
+    inst = make_instance(*BIG_64)
+    assert main(["enumerate", "--p", str(inst.p), "--q", str(inst.q), "--e", str(inst.e), "--k", "1"]) == 0
+    rendered = capsys.readouterr().out
+    points = enumerate_fixed_points(inst, 1)
+    assert len(points) == 9 and any(m > 2**53 for m in points)
+    payload = {
+        "instance": reports.instance_to_json_dict(inst),
+        "k": 1,
+        "count": 9,
+        "fixed_points": [encode_int(m) for m in points],
+    }
+    assert rendered == json.dumps(payload, indent=2) + "\n"
+    assert [type(m) is str for m in payload["fixed_points"]] == [m > 2**53 for m in points]
 
 
 def test_weak_fractions_in_lowest_terms():
