@@ -23,6 +23,11 @@ EXIT_CODES = {ValueError: 2, FactoringError: 3, CapExceededError: 4}
 WARN_FRACTION_ENV = "RSA_FIXPOINT_WARN_FRACTION"
 
 
+def _echo(s: str) -> str:
+    """A refused argument as its error quotes it: whole, or a prefix and its length."""
+    return repr(s) if len(s) <= 40 else f"{s[:32]!r}... ({len(s)} characters)"
+
+
 def _int_arg(s: str) -> int:
     """Integer in [0, 10**_MAX_EXPONENT), decimal or 0x-prefixed hex; more digits go unparsed."""
     text = s.strip().lower()
@@ -33,7 +38,7 @@ def _int_arg(s: str) -> int:
         long = len(text.replace("_", "").lstrip("+-0x")) > _MAX_EXPONENT
         value = _INT_BOUND if long else int(text, base)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {s!r}")
+        raise argparse.ArgumentTypeError(f"not an integer: {_echo(s)}")
     if not 0 <= value < _INT_BOUND:
         raise argparse.ArgumentTypeError(f"must lie in [0, 10**{_MAX_EXPONENT})")
     return value
@@ -43,7 +48,7 @@ def _bound_arg(s: str) -> int:
     """Period bound: an integer >= 1, decimal or 0x-prefixed hex."""
     value = _int_arg(s)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"bound must be an integer >= 1: {s!r}")
+        raise argparse.ArgumentTypeError(f"bound must be an integer >= 1: {_echo(s)}")
     return value
 
 
@@ -66,7 +71,7 @@ def _fraction_arg(s: str) -> Fraction:
     try:
         f = Fraction(s)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational: {s!r}")
+        raise argparse.ArgumentTypeError(f"not a rational: {_echo(s)}")
     if f < 0:
         raise argparse.ArgumentTypeError("threshold must be nonnegative")
     return f

@@ -4,15 +4,33 @@ Mobius, CRT, the classic order search, the units fixed by x**(e**k), the
 paper's Mobius inversion over the divisor lattice), and the ground truth:
 literal iteration, the brute-force period walk, and full scans for roots
 of unity (brute_roots_of_unity), element orders (brute_element_orders)
-and the solutions and minimal returns of x**d = x (brute_poly_fixed)."""
+and the solutions and minimal returns of x**d = x (brute_poly_fixed);
+and run_cli, the one way tests start the CLI in a child process."""
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from math import gcd, lcm, prod
 from operator import sub
+from pathlib import Path
 
 from rsa_fixpoints import arith, census
+
+
+def run_cli(*args: str, env=None) -> subprocess.CompletedProcess:
+    """``python -X dev -W error -m rsa_fixpoints *args`` in a child that
+    imports the package under test, with ``env`` set over os.environ; its
+    stdout and stderr are decoded with no newline translation."""
+    env = {**os.environ, **(env or {})}
+    root = str(Path(arith.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (root, env.get("PYTHONPATH"))))
+    cmd = [sys.executable, "-X", "dev", "-W", "error", "-m", "rsa_fixpoints", *args]
+    result = subprocess.run(cmd, capture_output=True, env=env)
+    result.stdout, result.stderr = result.stdout.decode(), result.stderr.decode()
+    return result
 
 
 def odd_primes_upto(bound: int) -> list[int]:

@@ -12,8 +12,6 @@ iteration of the map.
 from __future__ import annotations
 
 import json
-import subprocess
-import sys
 import time
 from dataclasses import dataclass, field
 from math import gcd, lcm, prod
@@ -28,6 +26,7 @@ from conftest import (
     carmichael_lambda,
     divisors,
     mobius,
+    run_cli,
     sample_exponents,
     semiprime_pairs,
     walk_periods,
@@ -290,29 +289,23 @@ def test_criterion_10_factoring_demonstration():
     )
 
 
-def _run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "rsa_fixpoints", *args], capture_output=True, text=True
-    )
-
-
 def test_criterion_11_cli_contract():
     # byte-stable golden outputs
-    audit = _run_cli("audit", "--p", "5", "--q", "7", "--e", "5")
+    audit = run_cli("audit", "--p", "5", "--q", "7", "--e", "5")
     assert audit.returncode == 0
     assert audit.stdout == (GOLDEN / "audit_5_7_5.json").read_text()
-    csv = _run_cli("census", "--p", "5", "--q", "7", "--e", "5", "--format", "csv")
+    csv = run_cli("census", "--p", "5", "--q", "7", "--e", "5", "--format", "csv")
     assert csv.stdout == (GOLDEN / "census_5_7_5.csv").read_text()
 
     # documented exit codes under forced error injections
-    assert _run_cli("audit", "--p", "5", "--q", "7", "--e", "4").returncode == 2
+    assert run_cli("audit", "--p", "5", "--q", "7", "--e", "4").returncode == 2
     big = str(1000000000000000000000000000057 * 1000000000000000000000000000099)
     assert (
-        _run_cli("audit", "--n", big, "--e", "65537", "--factor-budget", "50").returncode
+        run_cli("audit", "--n", big, "--e", "65537", "--factor-budget", "50").returncode
         == 3
     )
     assert (
-        _run_cli(
+        run_cli(
             "enumerate", "--p", "5", "--q", "7", "--e", "5", "--k", "1", "--cap", "5"
         ).returncode
         == 4
@@ -324,12 +317,15 @@ def test_criterion_11_cli_contract():
         (5, 11, 3), (7, 11, 13), (3, 7, 5), (17, 19, 7), (23, 29, 9),
     ]
     for p, q, e in cases:
-        cen = json.loads(_run_cli("census", "--p", str(p), "--q", str(q), "--e", str(e)).stdout)
-        orc = json.loads(_run_cli("oracle", "--n", str(p * q), "--e", str(e)).stdout)
+        cen = run_cli("census", "--p", str(p), "--q", str(q), "--e", str(e))
+        orc = run_cli("oracle", "--n", str(p * q), "--e", str(e))
+        assert cen.returncode == orc.returncode == 0, (p, q, e)
+        cen, orc = json.loads(cen.stdout), json.loads(orc.stdout)
         assert cen["k_max"] == orc["k_max"], (p, q, e)
         for fld in ("unit_counts", "all_counts"):
             for k in cen[fld]:
                 assert int(cen[fld][k]) == int(orc[fld].get(k, 0)), (p, q, e, k)
+            assert set(orc[fld]) <= set(cen[fld]), (p, q, e)
     print(
         "\n[criterion 11] PASS - golden JSON/CSV byte-stable, exit codes "
         "{0,2,3,4} verified, census == oracle subcommand on 10 instances"

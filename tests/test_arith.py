@@ -21,6 +21,8 @@ def test_factorize_examples():
     assert factorize(1) == Factorization((), 1)
     assert factorize(35).factors == ((5, 1), (7, 1))
     assert factorize(2**6 * 3**2).factors == ((2, 6), (3, 2))
+    with pytest.raises(ValueError, match="n >= 1"):
+        factorize(0)
 
 
 def test_factorize_splits_squares_of_primes_above_trial_division():
@@ -99,7 +101,7 @@ def test_is_prime_rejects_the_pseudoprime_to_all_bases():
     assert factorize(MR_PSEUDOPRIME).factors == ((1287836182261, 1), (2575672364521, 1))
 
 
-def test_strong_lucas_accepts_primes_and_its_own_pseudoprimes():
+def test_strong_lucas_accepts_primes_and_its_own_pseudoprimes(monkeypatch):
     for m in (89, 107, 127):
         assert arith._strong_lucas(2**m - 1)
     # Strong Lucas pseudoprimes for Selfridge's parameters (OEIS A217255):
@@ -108,6 +110,14 @@ def test_strong_lucas_accepts_primes_and_its_own_pseudoprimes():
         assert arith._strong_lucas(n)
         assert not is_prime(n)
     assert not arith._strong_lucas(MR_PSEUDOPRIME)
+    # Below 20,000 they are its only mistakes; the odd squares and the n that
+    # share a factor with their D are refused before the Lucas sequence.
+    wrong = [n for n in range(3, 20_000, 2) if arith._strong_lucas(n) != is_prime(n)]
+    assert wrong == [5459, 5777, 10877, 16109, 18971]
+    # A square p**2 first meets a D with (D/n) = 0 at |D| ~ p: it must be
+    # refused before the D search, which for this one would take 2**60 steps.
+    monkeypatch.setattr(arith, "_jacobi", lambda a, n: pytest.fail(f"D search on the square {n}"))
+    assert not arith._strong_lucas((2**61 - 1) ** 2)
 
 
 def test_divisors_examples():

@@ -68,6 +68,8 @@ def test_roots_of_unity_examples():
         assert roots_of_unity_count(1, factorize(n)) == 1
     assert roots_of_unity_count(2, factorize(15)) == 4  # {1, 4, 11, 14}
     assert roots_of_unity_count(2, factorize(8)) == 4   # {1, 3, 5, 7}
+    with pytest.raises(ValueError, match="r must be >= 1"):
+        roots_of_unity_count(0, factorize(15))
 
 
 def test_roots_of_unity_two_power_regression():
@@ -173,6 +175,8 @@ def test_poly_fixed_examples():
     assert poly_fixed_count(1, f15) == 15
     assert poly_fixed_count(2, f15) == 4   # idempotents {0, 1, 6, 10}
     assert poly_fixed_count(3, f15) == 9
+    with pytest.raises(ValueError, match="d must be >= 1"):
+        poly_fixed_count(0, f15)
 
 
 def test_poly_fixed_matches_brute_scan():

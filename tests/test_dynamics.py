@@ -55,6 +55,9 @@ def test_period_of_point_examples():
     rec15 = period_of_point(15, INST)
     assert rec15.period == 1
     assert rec15.component_orders == (None, 1)
+    for x in (-1, INST.n):
+        with pytest.raises(ValueError, match="x must lie in"):
+            period_of_point(x, INST)
 
 
 def test_period_record_matches_iteration():
