@@ -271,6 +271,24 @@ def test_factor_demo_reports_true_factor():
     assert pow(m, 17, 11 * 71) == m
 
 
+def test_census_and_oracle_subcommands_agree():
+    cases = [
+        (5, 7, 5), (5, 7, 11), (3, 5, 7), (11, 71, 17), (13, 17, 5),
+        (5, 11, 3), (7, 11, 13), (3, 7, 5), (17, 19, 7), (23, 29, 9),
+    ]
+    for p, q, e in cases:
+        cen = run_cli("census", "--p", str(p), "--q", str(q), "--e", str(e))
+        orc = run_cli("oracle", "--n", str(p * q), "--e", str(e))
+        assert cen.returncode == orc.returncode == 0, (p, q, e)
+        cen_d = json.loads(cen.stdout)
+        orc_d = json.loads(orc.stdout)
+        assert cen_d["k_max"] == orc_d["k_max"]
+        for field in ("unit_counts", "all_counts"):
+            for k in cen_d[field]:
+                assert int(cen_d[field][k]) == int(orc_d[field].get(k, 0)), (p, q, e, k)
+            assert set(orc_d[field]) <= set(cen_d[field])
+
+
 def test_main_callable_directly(capsys):
     code = main(["census", "--p", "5", "--q", "7", "--e", "5", "--format", "csv"])
     assert code == 0
