@@ -1,12 +1,13 @@
 """Deterministic report objects and every output layout (JSON / CSV / table / lines).
 
 JSON output is byte-stable: fixed key order, two-space indent, one
-trailing newline.  A list of plain ints (points) is written by one
-%-template, and the lines layout likewise; T_k and E_k fill one template
-of their shared keys.  Integers whose magnitude exceeds 2**53 are emitted
-as decimal strings so consumers with double-precision JSON numbers
-cannot silently corrupt them; rationals are exact {"num", "den"} pairs
-in lowest terms, never floats.
+trailing newline.  The writer applies the schema's value rules to every
+value, so payload builders pass plain model values: an int beyond 2**53
+in magnitude is a decimal string, which consumers with double-precision
+JSON numbers cannot silently corrupt, and a Fraction is an exact
+{"num", "den"} pair in lowest terms, never a float.  A list of plain
+ints (points) is one %-template, and the lines layout likewise; T_k and
+E_k fill one template of their shared keys.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "census_to_json_dict",
     "census_from_json_dict",
     "render_json",
-    "encode_int",
     "DEFAULT_WARN_FRACTION",
     "DEFAULT_WARN_BOUND",
     "DEFAULT_WEAK_BOUNDS",
@@ -113,30 +113,34 @@ def build_audit_report(
     )
 
 
-def encode_int(v: int):
-    """JSON-safe integer: plain when |v| <= 2**53, decimal string otherwise."""
-    return v if -JSON_SAFE_INT <= v <= JSON_SAFE_INT else str(v)
+def _int(v: int) -> str:
+    # The schema's integer rule: plain when |v| <= 2**53, a quoted decimal beyond.
+    return "%d" % v if -JSON_SAFE_INT <= v <= JSON_SAFE_INT else '"%d"' % v
 
 
 def _json(v, pad: str, out: list) -> None:
-    # Appends v as json.dumps(v, indent=2) writes it at the depth of pad, so a
-    # document is one "".join of out.  A nonempty list of plain ints (no bools),
-    # a point list, is one %-format; other containers write an int item by str
-    # and a key as json.dumps does.  _census_json writes a census.
-    if type(v) is ExactOrderCensus:
+    # Appends v as json.dumps(v, indent=2) writes it at the depth of pad once
+    # the schema's rules hold: an int as _int writes it, a Fraction as
+    # {"num", "den"}, an int key as its decimal.  A nonempty list of plain ints
+    # (no bools) within 2**53, a point list, is one %-format; a census, _census_json.
+    if type(v) is int:
+        return out.append(_int(v))
+    if type(v) is Fraction:
+        v = {"num": v.numerator, "den": v.denominator}
+    elif type(v) is ExactOrderCensus:
         return _census_json(v, pad, out)
     if not v or not isinstance(v, (dict, list, tuple)):
         return out.append(json.dumps(v))
     inner, is_dict = pad + "  ", isinstance(v, dict)
     sep = ",\n" + inner
-    if not is_dict and set(map(type, v)) == {int}:
+    if not is_dict and set(map(type, v)) == {int} and -JSON_SAFE_INT <= min(v) and max(v) <= JSON_SAFE_INT:
         return out.extend(("[\n", inner, sep.join(["%d"] * len(v)) % tuple(v), "\n", pad, "]"))
     out.append(("{\n" if is_dict else "[\n") + inner)
     for x in v:
         if is_dict:
             out += encode_basestring_ascii(str(x)), ": "
             x = v[x]
-        out.append(str(x)) if type(x) is int else _json(x, inner, out)
+        out.append(_int(x)) if type(x) is int else _json(x, inner, out)
         out.append(sep)
     out[-1] = "\n" + pad + ("}" if is_dict else "]")
 
@@ -144,31 +148,38 @@ def _json(v, pad: str, out: list) -> None:
 def _census_json(cen: ExactOrderCensus, pad: str, out: list) -> None:
     # cen as _json writes census_to_json_dict(cen).  T_k and E_k share their
     # keys, formatted once into a template ('"k": %s' a row) that each map
-    # fills with one % over its counts, a count beyond 2**53 quoted as
-    # encode_int has it.  A map with other keys (hand-built) formats its own.
+    # fills with one % over its counts, a count beyond 2**53 through _int.  A
+    # map with other keys (hand-built) formats its own.
     inner, rows, keys = pad + "  ", ",\n    " + pad, None
-    out += "{\n", inner, '"k_max": ', json.dumps(encode_int(cen.k_max))
+    out += "{\n", inner, '"k_max": ', _int(cen.k_max)
     for label, m in (('"unit_counts": ', cen.unit_counts), ('"all_counts": ', cen.all_counts)):
         if keys != (ks := tuple(m)):
             keys, template = ks, ("{" + rows[1:] + rows.join(['"%d": %%s'] * len(ks)) + "\n" + inner + "}") % ks
         counts = tuple(m.values())
         if counts and not -JSON_SAFE_INT <= min(counts) <= max(counts) <= JSON_SAFE_INT:
-            counts = tuple([c if -JSON_SAFE_INT <= c <= JSON_SAFE_INT else '"%d"' % c for c in counts])
+            counts = tuple([c if -JSON_SAFE_INT <= c <= JSON_SAFE_INT else _int(c) for c in counts])
         out += ",\n", inner, label, template % counts if counts else "{}"
     out += "\n", pad, "}"
 
 
 def render_json(payload) -> str:
-    """``json.dumps(payload, indent=2) + "\\n"`` byte for byte, a census as its ``census_to_json_dict``."""
+    """``json.dumps(payload, indent=2) + "\\n"`` byte for byte, once every int
+    beyond 2**53 is its decimal str, every Fraction its {"num", "den"} dict
+    and a census its ``census_to_json_dict``."""
     _json(payload, "", out := [])
     return "".join(out + ["\n"])
 
 
 def census_to_json_dict(cen: ExactOrderCensus) -> dict:
-    """The census as ``json.loads`` reads its JSON back, keyed by str(k)."""
+    """The census as ``json.loads`` reads its JSON back: keyed by str(k), a
+    count or k_max beyond 2**53 as its decimal str."""
+
+    def safe(v: int):
+        return v if -JSON_SAFE_INT <= v <= JSON_SAFE_INT else str(v)
+
     maps = {"unit_counts": cen.unit_counts, "all_counts": cen.all_counts}
-    str_keyed = {name: {str(k): encode_int(v) for k, v in m.items()} for name, m in maps.items()}
-    return {"k_max": encode_int(cen.k_max), **str_keyed}
+    str_keyed = {name: {str(k): safe(v) for k, v in m.items()} for name, m in maps.items()}
+    return {"k_max": safe(cen.k_max), **str_keyed}
 
 
 def census_from_json_dict(d: dict) -> ExactOrderCensus:
@@ -180,21 +191,18 @@ def census_from_json_dict(d: dict) -> ExactOrderCensus:
 
 
 def instance_to_json_dict(inst: RsaInstance) -> dict:
-    fields = {"p": inst.p, "q": inst.q, "n": inst.n, "e": inst.e, "phi": inst.phi, "lambda": inst.lam}
     # gcd(e, phi) = 1 holds for every RsaInstance; the field keeps the schema.
-    return {**{k: encode_int(v) for k, v in fields.items()}, "gcd_e_phi_ok": True}
+    ints = {"p": inst.p, "q": inst.q, "n": inst.n, "e": inst.e, "phi": inst.phi, "lambda": inst.lam}
+    return {**ints, "gcd_e_phi_ok": True}
 
 
 def audit_to_json_dict(report: AuditReport) -> dict:
     return {
         "instance": instance_to_json_dict(report.instance),
-        "k_max": encode_int(report.k_max),
+        "k_max": report.k_max,
         "census": report.census,
-        "weak_fraction": {
-            str(b): {"num": encode_int(fr.numerator), "den": encode_int(fr.denominator)}
-            for b, fr in report.weak_fraction.items()
-        },
-        "min_fixed_points": encode_int(report.min_fixed_points),
+        "weak_fraction": report.weak_fraction,
+        "min_fixed_points": report.min_fixed_points,
         "verdict": report.verdict,
         "notes": list(report.notes),
     }
@@ -225,13 +233,7 @@ def _cycle_rows(cen: ExactOrderCensus) -> list[tuple[int, int, int]]:
 
 
 def cycles_to_json_dict(cen: ExactOrderCensus, n: int) -> dict:
-    return {
-        "n": encode_int(n),
-        "entries": {
-            str(k): {"points": encode_int(pts), "cycles": encode_int(cyc)}
-            for k, pts, cyc in _cycle_rows(cen)
-        },
-    }
+    return {"n": n, "entries": {k: {"points": pts, "cycles": cyc} for k, pts, cyc in _cycle_rows(cen)}}
 
 
 def render_cycles(cen: ExactOrderCensus, n: int, fmt: str) -> str:
@@ -244,14 +246,9 @@ def render_points(inst: RsaInstance, k: int, points: list[int], fmt: str) -> str
     """Render the points of period k: one per line, or JSON with the instance."""
     if fmt == "lines":
         return ("%d\n" * len(points)) % tuple(points)
-    if inst.n > JSON_SAFE_INT:  # below that, so is every point
-        points = [encode_int(m) for m in points]
-    payload = {
-        "instance": instance_to_json_dict(inst),
-        "k": encode_int(k),
-        "count": len(points),
-        "fixed_points": points,
-    }
+    if fmt != "json":
+        raise ValueError(f"unknown format {fmt!r}")
+    payload = {"instance": instance_to_json_dict(inst), "k": k, "count": len(points), "fixed_points": points}
     return render_json(payload)
 
 
@@ -259,11 +256,11 @@ def render_factor_demo(inst: RsaInstance, m: int, factor: int) -> str:
     """Render the fixed point m, the factor of n it reveals, and its CRT components."""
     payload = {
         "instance": instance_to_json_dict(inst),
-        "fixed_point": encode_int(m),
-        "factor": encode_int(factor),
-        "cofactor": encode_int(inst.n // factor),
-        "fixed_point_mod_p": encode_int(m % inst.p),
-        "fixed_point_mod_q": encode_int(m % inst.q),
+        "fixed_point": m,
+        "factor": factor,
+        "cofactor": inst.n // factor,
+        "fixed_point_mod_p": m % inst.p,
+        "fixed_point_mod_q": m % inst.q,
     }
     return render_json(payload)
 

@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import odd_primes_upto, run_cli
-from rsa_fixpoints import arith, census, cli, reports
+from rsa_fixpoints import arith, census, cli, dynamics, reports
 from rsa_fixpoints.cli import build_parser, main
+from test_census import BIG_64
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_NAME = re.compile(r"([a-z_]+)_(\d+)_(\d+)_(\d+)(?:_cap(\d+))?\.(\w+)")
@@ -443,6 +444,82 @@ def test_main_fuzzed_argv_ends_in_a_documented_exit(argv):
         assert stdout == "", argv
     elif stdout.startswith("{"):
         json.loads(stdout, parse_int=_no_unsafe_int)
+
+
+def _model_payload(command, inst):
+    # The model values each JSON subcommand writes, taken from the library
+    # objects, not from the payload builders.
+    ints = {"p": inst.p, "q": inst.q, "n": inst.n, "e": inst.e, "phi": inst.phi, "lambda": inst.lam}
+    instance = {**ints, "gcd_e_phi_ok": True}
+    cen = census.full_census(inst)
+    if command == "census":
+        return cen
+    if command == "audit":
+        r = reports.build_audit_report(inst)
+        return {
+            "instance": instance,
+            "k_max": r.k_max,
+            "census": cen,
+            "weak_fraction": r.weak_fraction,
+            "min_fixed_points": r.min_fixed_points,
+            "verdict": r.verdict,
+            "notes": r.notes,
+        }
+    if command == "cycles":
+        entries = {k: {"points": e, "cycles": e // k} for k, e in cen.all_counts.items() if e}
+        return {"n": inst.n, "entries": entries}
+    if command == "enumerate":
+        points = dynamics.enumerate_fixed_points(inst, 1)
+        return {"instance": instance, "k": 1, "count": len(points), "fixed_points": points}
+    m = dynamics.find_nontrivial_fixed_point(inst)
+    factor = dynamics.extract_factor_from_fixed_point(m, inst.n)
+    return {
+        "instance": instance,
+        "fixed_point": m,
+        "factor": factor,
+        "cofactor": inst.n // factor,
+        "fixed_point_mod_p": m % inst.p,
+        "fixed_point_mod_q": m % inst.q,
+    }
+
+
+def _read_back(parsed, model, quoted):
+    # parsed against the model value it was written from: an int beyond 2**53
+    # as its quoted decimal (appended to quoted), any other int as itself, a
+    # Fraction as {"num", "den"}, a census and an int-keyed map keyed by str(k).
+    if isinstance(model, census.ExactOrderCensus):
+        model = {"k_max": model.k_max, "unit_counts": model.unit_counts, "all_counts": model.all_counts}
+    elif isinstance(model, Fraction):
+        model = {"num": model.numerator, "den": model.denominator}
+    if type(model) is int and abs(model) > 2**53:
+        assert parsed == str(model)
+        quoted.append(model)
+    elif isinstance(model, dict):
+        assert list(parsed) == [str(k) for k in model]
+        for k, v in model.items():
+            _read_back(parsed[str(k)], v, quoted)
+    elif isinstance(model, list):
+        assert len(parsed) == len(model)
+        for x, v in zip(parsed, model):
+            _read_back(x, v, quoted)
+    else:
+        assert (type(parsed), parsed) == (type(model), model)
+
+
+@pytest.mark.parametrize("pqe", [BIG_64, (1600398721, 1988190923, 65537)], ids=["BIG_64", "golden"])
+@pytest.mark.parametrize("command", ["census", "audit", "cycles", "enumerate", "factor-demo"])
+def test_json_subcommands_quote_every_int_beyond_2_to_the_53(command, pqe, capsys):
+    # n and some E_k exceed 2**53 on both instances: no raw int beyond 2**53
+    # reaches the JSON, and every quoted one reads back as the model's value.
+    inst = census.make_instance(*pqe)
+    argv = [command, "--p", str(inst.p), "--q", str(inst.q), "--e", str(inst.e)]
+    argv += ["--k", "1"] if command == "enumerate" else []
+    assert main(argv) == 0
+    parsed = json.loads(capsys.readouterr().out, parse_int=_no_unsafe_int)
+    quoted = []
+    _read_back(parsed, _model_payload(command, inst), quoted)
+    wide = max(census.full_census(inst).all_counts.values()) if command == "census" else inst.n
+    assert wide > 2**53 and wide in quoted
 
 
 def test_pseudoprime_to_all_bases_is_refused_as_p(capsys):

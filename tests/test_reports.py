@@ -13,15 +13,43 @@ from rsa_fixpoints.cli import main
 from rsa_fixpoints.census import ExactOrderCensus, full_census, make_instance
 from rsa_fixpoints.dynamics import enumerate_fixed_points
 from rsa_fixpoints.oracle import brute_power_map_census
-from rsa_fixpoints.reports import build_audit_report, encode_int, render_census, render_report
+from rsa_fixpoints.reports import build_audit_report, render_census, render_points, render_report
 from test_census import BIG_64
 
 
-def test_encode_int_threshold():
-    assert encode_int(2**53) == 2**53
-    assert encode_int(-(2**53)) == -(2**53)
-    assert encode_int(2**53 + 1) == str(2**53 + 1)
-    assert encode_int(-(2**53) - 1) == str(-(2**53) - 1)
+def _quoted(v):
+    # The payload with the schema's value rules applied by hand, for json.dumps:
+    # an int beyond 2**53 as its decimal str, a Fraction as {"num", "den"}, a
+    # census as census_to_json_dict has it.
+    if type(v) is int:
+        return v if -(2**53) <= v <= 2**53 else str(v)
+    if isinstance(v, Fraction):
+        return {"num": _quoted(v.numerator), "den": _quoted(v.denominator)}
+    if isinstance(v, ExactOrderCensus):
+        return reports.census_to_json_dict(v)
+    if isinstance(v, dict):
+        return {k: _quoted(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_quoted(x) for x in v]
+    return v
+
+
+def test_json_int_threshold_in_every_position():
+    # Plain up to 2**53 in magnitude, a quoted decimal beyond: as a scalar, a
+    # dict value, an int list item (the %-template takes [0, v] when v is
+    # plain; [None, v] always takes the item-by-item path), a census count
+    # and a census k_max.
+    census_lines = ["{", '  "k_max": %s,', '  "unit_counts": {', '    "1": %s', "  },"]
+    census_lines += ['  "all_counts": {', '    "1": 0,', '    "2": %s', "  }", "}", ""]
+    plain = [(2**53, "9007199254740992"), (-(2**53), "-9007199254740992")]
+    quoted = [(2**53 + 1, '"9007199254740993"'), (-(2**53) - 1, '"-9007199254740993"')]
+    for v, text in plain + quoted:
+        assert reports.render_json(v) == text + "\n"
+        assert reports.render_json({"a": v}) == '{\n  "a": %s\n}\n' % text
+        assert reports.render_json([0, v]) == "[\n  0,\n  %s\n]\n" % text
+        assert reports.render_json([None, v]) == "[\n  null,\n  %s\n]\n" % text
+        cen = ExactOrderCensus(k_max=v, unit_counts={1: v}, all_counts={1: 0, 2: v})
+        assert render_census(cen, "json") == "\n".join(census_lines) % (text, text, text)
 
 
 def test_big_integers_render_as_decimal_strings():
@@ -40,14 +68,9 @@ def test_points_above_2_to_the_53_render_as_decimal_strings(capsys):
     rendered = capsys.readouterr().out
     points = enumerate_fixed_points(inst, 1)
     assert len(points) == 9 and any(m > 2**53 for m in points)
-    payload = {
-        "instance": reports.instance_to_json_dict(inst),
-        "k": 1,
-        "count": 9,
-        "fixed_points": [encode_int(m) for m in points],
-    }
-    assert rendered == json.dumps(payload, indent=2) + "\n"
-    assert [type(m) is str for m in payload["fixed_points"]] == [m > 2**53 for m in points]
+    payload = {"instance": reports.instance_to_json_dict(inst), "k": 1, "count": 9, "fixed_points": points}
+    assert rendered == json.dumps(_quoted(payload), indent=2) + "\n"
+    assert [type(m) is str for m in json.loads(rendered)["fixed_points"]] == [m > 2**53 for m in points]
 
 
 def test_weak_fractions_in_lowest_terms():
@@ -144,9 +167,12 @@ def test_oracle_census_renders_rows_ascending():
 
 
 def test_render_report_rejects_unknown_format():
-    report = build_audit_report(make_instance(5, 7, 5))
-    with pytest.raises(ValueError):
-        render_report(report, "xml")
+    inst = make_instance(5, 7, 5)
+    with pytest.raises(ValueError, match="unknown format"):
+        render_report(build_audit_report(inst), "xml")
+    for fmt in ("csv", "table", "xml"):  # render_points writes json and lines only
+        with pytest.raises(ValueError, match="unknown format"):
+            render_points(inst, 1, enumerate_fixed_points(inst, 1), fmt)
 
 
 def test_census_json_round_trip_identity():
@@ -171,10 +197,13 @@ def test_build_audit_report_rejects_bounds_below_one():
 # characters and non-ASCII text (one astral-plane character among them).
 _json_text = st.text(st.sampled_from('a"\\/\x00\x08\x1f\x7f\n\t\u00e9\u2028\U0001f600')) | st.text()
 _json_ints = st.integers(-(2**80), 2**80)
-# Int lists, as point lists are, take the all-int template, and a bool or None
-# among them must send the list off it.  Int-keyed maps take the general path:
-# census maps reach the writer inside their ExactOrderCensus, not as dicts.
-_not_int = st.booleans() | st.none()
+# Fractions, some with numerator or denominator beyond 2**53, are written as
+# {"num", "den"} pairs.  Int lists, as point lists are, take the all-int
+# template, and a bool, None or Fraction among them must send the list off it.
+# Int-keyed maps take the general path: census maps reach the writer inside
+# their ExactOrderCensus, not as dicts.
+_json_fractions = st.fractions() | st.builds(Fraction, _json_ints, st.integers(1, 2**80))
+_not_int = st.booleans() | st.none() | _json_fractions
 _int_containers = (
     st.dictionaries(_json_ints, _json_ints, min_size=1, max_size=8)
     | st.lists(_json_ints, min_size=1, max_size=8)
@@ -183,7 +212,7 @@ _int_containers = (
     | st.lists(_json_ints | _not_int, min_size=1, max_size=8)
 )
 _json_values = st.recursive(
-    st.none() | st.booleans() | _json_ints | _json_text | _int_containers,
+    st.none() | st.booleans() | _json_ints | _json_fractions | _json_text | _int_containers,
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_json_text | _json_ints, inner, max_size=4),
     max_leaves=40,
 )
@@ -193,9 +222,10 @@ _json_values = st.recursive(
 @example({})
 @example({"a": {}, "b": [], "c": [[], {}], "d": {"e": [True, False, None, -1, 2**53 + 1]}})
 @example({"a": {1: 2, -3: 2**80}, "b": [0, -2], "c": (7,), "d": {1: True, 2: 3}, "e": [1, None], "f": {1: {2: 3}}})
+@example({"a": Fraction(0), "b": [Fraction(-(2**60), 3), 2**53], "c": {2: Fraction(2**80, 2**53 + 1)}, "d": [1, -(2**53) - 1]})
 @settings(max_examples=400, deadline=None)
 def test_render_json_matches_json_dumps(payload):
-    assert reports.render_json(payload) == json.dumps(payload, indent=2) + "\n"
+    assert reports.render_json(payload) == json.dumps(_quoted(payload), indent=2) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -214,7 +244,7 @@ def test_census_json_is_json_dumps_of_the_str_keyed_payload(p, q, e, wide):
     assert render_census(cen, "json") == json.dumps(census_payload, indent=2) + "\n"
     audit_payload = {**reports.audit_to_json_dict(report), "census": census_payload}
     rendered = render_report(report, "json")
-    assert rendered == json.dumps(audit_payload, indent=2) + "\n"
+    assert rendered == json.dumps(_quoted(audit_payload), indent=2) + "\n"
     assert json.loads(rendered)["census"] == census_payload
 
 
@@ -248,7 +278,7 @@ def test_census_writer_matches_json_dumps_on_hand_built_censuses(cen):
     assert render_census(cen, "json") == json.dumps(census_payload, indent=2) + "\n"
     report = dataclasses.replace(build_audit_report(make_instance(5, 7, 5)), census=cen)
     audit_payload = {**reports.audit_to_json_dict(report), "census": census_payload}
-    assert render_report(report, "json") == json.dumps(audit_payload, indent=2) + "\n"
+    assert render_report(report, "json") == json.dumps(_quoted(audit_payload), indent=2) + "\n"
 
 
 @pytest.mark.parametrize("wide", [False, True])
